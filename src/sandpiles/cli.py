@@ -1,5 +1,6 @@
 """Command-line front end: seeded trajectories, orbit-graph exports,
-fixed-point galleries, counting tables and the verification suite.
+fixed-point galleries, counting tables, orbit profiles and the
+verification suite.
 
 Exit codes: 0 success, 1 a verification or counting mismatch, 2 usage
 error, 3 an exploration limit cut the run short.
@@ -8,14 +9,23 @@ error, 3 an exploration limit cut the run short.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
-from dataclasses import dataclass
+import time
 from math import isqrt
 from pathlib import Path
 
-from .core import Configuration, Model, _moves_with_results
-from .orbit import ExplorationLimits, build, export, sink_census, verify
+from .core import Configuration, Model, _fire
+from .orbit import (
+    ExplorationLimits,
+    build,
+    export,
+    lattice_check,
+    sink_census,
+    transient_stats,
+    verify,
+)
 from .structure import enumerate_fixed_points, fixed_point_counts
 
 EXIT_OK = 0
@@ -23,39 +33,27 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation, normalized and validated."""
-
-    command: str
-    model: Model
-    root: Configuration | None
-    seed: int
-    fmt: str
-    limits: ExplorationLimits
-    n_max: int
-    bfs_cutoff: int
-    out: str | None
+# Search cell of a count_table row whose sweep hit an exploration limit.
+TRUNCATED = "trunc"
 
 
 def evolve(c0: Configuration, model: Model, seed: int) -> list[Configuration]:
     """Fire uniformly random enabled moves until a fixed point.
 
     The schedule comes from random.Random(seed) (Mersenne Twister, stable
-    across platforms) choosing among the enabled moves sorted by column
-    index and direction, so a trajectory is reproducible from its seed.
-    Termination is guaranteed because every move strictly lowers energy.
+    across platforms) choosing among the enabled moves ordered by column
+    index, left before right at one column, so a trajectory is
+    reproducible from its seed.  Termination is guaranteed because every
+    move strictly lowers energy.
     """
     rng = random.Random(seed)
     cur = c0.columns
     trajectory = [c0]
     while True:
-        options = _moves_with_results(cur, model)
+        options = _fire(cur, model)
         if not options:
             return trajectory
-        options.sort(key=lambda pair: pair[0].sort_key())
-        _, cur = options[rng.randrange(len(options))]
+        cur = options[rng.randrange(len(options))][2]
         trajectory.append(Configuration(cur))
 
 
@@ -79,28 +77,28 @@ def render_gallery(shapes: tuple[Configuration, ...], gap: str = "  ") -> str:
 
 def count_table(
     n_max: int, bfs_cutoff: int, limits: ExplorationLimits | None = None
-) -> tuple[list[tuple[int, int, int, int, int | None]], bool]:
+) -> tuple[list[tuple[int, int, int, int, int | str | None]], bool]:
     """Rows (n, single-top, wide-top, closed-form total, search total).
 
     The search column is filled by an actual sweep for n up to the
-    cutoff and left empty beyond it.  The boolean reports whether every
-    row is internally consistent: the two family counts sum to the
-    closed form, the closed form equals isqrt(n), and the sweep (when
-    present) found the same number of sinks.
+    cutoff and left empty beyond it; it holds TRUNCATED where the sweep
+    hit an exploration limit.  The boolean reports whether every row is
+    internally consistent: the two family counts sum to the closed form,
+    the closed form equals isqrt(n), and the sweep (when it ran to the
+    end) found the same number of sinks.
     """
-    rows: list[tuple[int, int, int, int, int | None]] = []
+    rows: list[tuple[int, int, int, int, int | str | None]] = []
     ok = True
     for n in range(1, n_max + 1):
         census = fixed_point_counts(n)
-        searched: int | None = None
+        searched: int | str | None = None
         if n <= bfs_cutoff:
-            searched = len(
-                sink_census(Configuration((n,)), Model.SSPM, limits).sinks
-            )
+            swept = sink_census(Configuration((n,)), Model.SSPM, limits)
+            searched = TRUNCATED if swept.truncated else len(swept.sinks)
         rows.append((n, census.single_top, census.wide_top, census.total, searched))
         if census.total != isqrt(n) or census.total != census.single_top + census.wide_top:
             ok = False
-        if searched is not None and searched != census.total:
+        if isinstance(searched, int) and searched != census.total:
             ok = False
     return rows, ok
 
@@ -119,7 +117,7 @@ def _seed(text: str) -> int:
     return value
 
 
-def _heights(text: str) -> tuple[int, ...]:
+def _shape(text: str) -> Configuration:
     try:
         cols = tuple(int(part) for part in text.split(","))
     except ValueError:
@@ -128,90 +126,7 @@ def _heights(text: str) -> tuple[int, ...]:
         ) from None
     if not cols or any(h < 1 for h in cols):
         raise argparse.ArgumentTypeError("heights must be positive integers")
-    return cols
-
-
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sandpiles",
-        description="Grain-pile rewriting: trajectories, orbit graphs, "
-        "fixed points and their counting laws.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_model(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--model",
-            choices=["spm", "sspm"],
-            default="sspm",
-            help="rightward-only (spm) or symmetric (sspm) rule set",
-        )
-
-    def add_root(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--n", type=_positive_int, help="start from a single column of n grains")
-        group.add_argument("--config", type=_heights, metavar="H1,H2,...", help="start from an explicit shape")
-
-    def add_out(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", help="write to this path instead of standard output")
-
-    p = sub.add_parser("evolve", help="run one seeded trajectory to a fixed point")
-    add_model(p)
-    add_root(p)
-    p.add_argument("--seed", type=_seed, default=0, help="PRNG seed (default 0)")
-    p.add_argument("--format", choices=["ascii", "json"], default="ascii")
-    add_out(p)
-
-    p = sub.add_parser("graph", help="build the orbit graph and export it")
-    add_model(p)
-    add_root(p)
-    p.add_argument("--format", choices=["dot", "json"], default="json")
-    p.add_argument("--max-vertices", type=_positive_int, default=5_000_000)
-    add_out(p)
-
-    p = sub.add_parser("fixpoints", help="render all stable shapes for n grains")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--format", choices=["ascii", "json"], default="ascii")
-    add_out(p)
-
-    p = sub.add_parser("count", help="tabulate fixed-point counts up to n")
-    p.add_argument("--n", type=_positive_int, required=True, help="largest grain count tabulated")
-    p.add_argument(
-        "--bfs-cutoff",
-        type=int,
-        default=24,
-        help="fill the search column for n up to this bound (default 24)",
-    )
-    p.add_argument("--format", choices=["ascii", "csv"], default="ascii")
-    p.add_argument("--max-vertices", type=_positive_int, default=5_000_000)
-    add_out(p)
-
-    p = sub.add_parser("verify", help="build an orbit graph and check its invariants")
-    add_model(p)
-    add_root(p)
-    p.add_argument("--max-vertices", type=_positive_int, default=5_000_000)
-    add_out(p)
-
-    return parser
-
-
-def _run_config(ns: argparse.Namespace) -> RunConfig:
-    root = None
-    if getattr(ns, "config", None) is not None:
-        root = Configuration(ns.config)
-    elif getattr(ns, "n", None) is not None and ns.command != "count":
-        root = Configuration((ns.n,))
-    return RunConfig(
-        command=ns.command,
-        model=Model(getattr(ns, "model", "sspm")),
-        root=root,
-        seed=getattr(ns, "seed", 0),
-        fmt=getattr(ns, "format", "ascii"),
-        limits=ExplorationLimits(max_vertices=getattr(ns, "max_vertices", 5_000_000)),
-        n_max=getattr(ns, "n", 0) or 0,
-        bfs_cutoff=getattr(ns, "bfs_cutoff", 24),
-        out=getattr(ns, "out", None),
-    )
+    return Configuration(cols)
 
 
 def _emit(payload: str | bytes, out: str | None) -> None:
@@ -226,50 +141,53 @@ def _emit(payload: str | bytes, out: str | None) -> None:
     sys.stdout.buffer.flush()
 
 
-def _cmd_evolve(cfg: RunConfig) -> int:
-    assert cfg.root is not None
-    trajectory = evolve(cfg.root, cfg.model, cfg.seed)
-    if cfg.fmt == "json":
-        import json
+def _root(ns: argparse.Namespace) -> Configuration:
+    return ns.config if ns.config is not None else Configuration((ns.n,))
 
+
+def _limits(ns: argparse.Namespace) -> ExplorationLimits:
+    return ExplorationLimits(max_vertices=ns.max_vertices)
+
+
+def _cmd_evolve(ns: argparse.Namespace) -> int:
+    model = Model(ns.model)
+    trajectory = evolve(_root(ns), model, ns.seed)
+    if ns.format == "json":
         doc = {
-            "model": cfg.model.name,
-            "seed": cfg.seed,
+            "model": model.name,
+            "seed": ns.seed,
             "trajectory": [list(c.columns) for c in trajectory],
         }
-        _emit(json.dumps(doc, separators=(",", ":")), cfg.out)
+        _emit(json.dumps(doc, separators=(",", ":")), ns.out)
     else:
-        _emit("\n".join(str(c) for c in trajectory), cfg.out)
+        _emit("\n".join(str(c) for c in trajectory), ns.out)
     return EXIT_OK
 
 
-def _cmd_graph(cfg: RunConfig) -> int:
-    assert cfg.root is not None
-    g = build(cfg.root, cfg.model, cfg.limits)
-    _emit(export(g, cfg.fmt), cfg.out)
+def _cmd_graph(ns: argparse.Namespace) -> int:
+    g = build(_root(ns), Model(ns.model), _limits(ns))
+    _emit(export(g, ns.format), ns.out)
     return EXIT_LIMIT if g.truncated else EXIT_OK
 
 
-def _cmd_fixpoints(cfg: RunConfig) -> int:
-    shapes = enumerate_fixed_points(cfg.n_max)
-    if cfg.fmt == "json":
-        import json
-
+def _cmd_fixpoints(ns: argparse.Namespace) -> int:
+    shapes = enumerate_fixed_points(ns.n)
+    if ns.format == "json":
         doc = {
-            "n": cfg.n_max,
+            "n": ns.n,
             "count": len(shapes),
             "shapes": [list(c.columns) for c in shapes],
         }
-        _emit(json.dumps(doc, separators=(",", ":")), cfg.out)
+        _emit(json.dumps(doc, separators=(",", ":")), ns.out)
     else:
-        _emit(render_gallery(shapes), cfg.out)
+        _emit(render_gallery(shapes), ns.out)
     return EXIT_OK
 
 
-def _cmd_count(cfg: RunConfig) -> int:
-    rows, ok = count_table(cfg.n_max, cfg.bfs_cutoff, cfg.limits)
+def _cmd_count(ns: argparse.Namespace) -> int:
+    rows, ok = count_table(ns.n, ns.bfs_cutoff, _limits(ns))
     header = ("n", "g1", "g2", "closed", "search")
-    if cfg.fmt == "csv":
+    if ns.format == "csv":
         lines = [",".join(header)]
         for n, g1, g2, total, searched in rows:
             tail = "" if searched is None else str(searched)
@@ -282,42 +200,134 @@ def _cmd_count(cfg: RunConfig) -> int:
             )
         widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
         lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells]
-    _emit("\n".join(lines), cfg.out)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    _emit("\n".join(lines), ns.out)
+    if not ok:
+        return EXIT_MISMATCH
+    return EXIT_LIMIT if any(row[4] == TRUNCATED for row in rows) else EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    assert cfg.root is not None
-    g = build(cfg.root, cfg.model, cfg.limits)
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    g = build(_root(ns), Model(ns.model), _limits(ns))
     report = verify(g)
-    _emit(str(report), cfg.out)
+    _emit(str(report), ns.out)
     if g.truncated:
         return EXIT_LIMIT
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-_HANDLERS = {
-    "evolve": _cmd_evolve,
-    "graph": _cmd_graph,
-    "fixpoints": _cmd_fixpoints,
-    "count": _cmd_count,
-    "verify": _cmd_verify,
-}
+def _cmd_profile(ns: argparse.Namespace) -> int:
+    # Orbit graphs of the single columns 1..n: sizes, sinks, shortest and
+    # longest transients, and under SPM the lattice verdict.  No formula
+    # is known for the shortest SSPM transient; this table is where to
+    # look for one.  Each row is printed as soon as it is computed.
+    model = Model(ns.model)
+    spm = model is Model.SPM
+    print(
+        f"{'n':>4} {'vertices':>9} {'edges':>9} {'sinks':>6} {'short':>6} {'long':>6} {'secs':>7}"
+        + (" lattice" if spm else ""),
+        flush=True,
+    )
+    limits = ExplorationLimits()
+    for n in range(1, ns.n + 1):
+        t0 = time.perf_counter()
+        g = build(Configuration((n,)), model, limits)
+        if g.truncated:
+            print(f"error: og(({n})) exceeds {limits.max_vertices} vertices", file=sys.stderr)
+            return EXIT_LIMIT
+        stats = transient_stats(g)
+        row = (
+            f"{n:>4} {g.vertex_count:>9} {len(g.edges):>9} {len(g.sink_ids):>6}"
+            f" {stats.shortest:>6} {stats.longest:>6} {time.perf_counter() - t0:>7.2f}"
+        )
+        if spm:
+            row += f" {'yes' if lattice_check(g) else 'NO':>7}"
+        print(row, flush=True)
+    return EXIT_OK
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sandpiles",
+        description="Grain-pile rewriting: trajectories, orbit graphs, "
+        "fixed points and their counting laws.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    def add_model(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--model",
+            choices=["spm", "sspm"],
+            default="sspm",
+            help="rightward-only (spm) or symmetric (sspm) rule set",
+        )
+
+    def add_root(p: argparse.ArgumentParser) -> None:
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--n", type=_positive_int, help="start from a single column of n grains")
+        group.add_argument("--config", type=_shape, metavar="H1,H2,...", help="start from an explicit shape")
+
+    def add_limit(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--max-vertices", type=_positive_int, default=5_000_000)
+
+    def add_out(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--out", help="write to this path instead of standard output")
+
+    p = command("evolve", _cmd_evolve, "run one seeded trajectory to a fixed point")
+    add_model(p)
+    add_root(p)
+    p.add_argument("--seed", type=_seed, default=0, help="PRNG seed (default 0)")
+    p.add_argument("--format", choices=["ascii", "json"], default="ascii")
+    add_out(p)
+
+    p = command("graph", _cmd_graph, "build the orbit graph and export it")
+    add_model(p)
+    add_root(p)
+    p.add_argument("--format", choices=["dot", "json"], default="json")
+    add_limit(p)
+    add_out(p)
+
+    p = command("fixpoints", _cmd_fixpoints, "render all stable shapes for n grains")
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--format", choices=["ascii", "json"], default="ascii")
+    add_out(p)
+
+    p = command("count", _cmd_count, "tabulate fixed-point counts up to n")
+    p.add_argument("--n", type=_positive_int, required=True, help="largest grain count tabulated")
+    p.add_argument(
+        "--bfs-cutoff",
+        type=int,
+        default=24,
+        help="fill the search column for n up to this bound (default 24)",
+    )
+    p.add_argument("--format", choices=["ascii", "csv"], default="ascii")
+    add_limit(p)
+    add_out(p)
+
+    p = command("verify", _cmd_verify, "build an orbit graph and check its invariants")
+    add_model(p)
+    add_root(p)
+    add_limit(p)
+    add_out(p)
+
+    p = command("profile", _cmd_profile, "tabulate orbit sizes and transients of single columns up to n")
+    add_model(p)
+    p.add_argument("--n", type=_positive_int, required=True, help="largest grain count profiled")
+
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as stop:
         # argparse already printed usage; normalize its code
         return EXIT_USAGE if stop.code not in (0, None) else EXIT_OK
-    try:
-        cfg = _run_config(ns)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    return _HANDLERS[cfg.command](cfg)
+    return ns.run(ns)
 
 
 if __name__ == "__main__":

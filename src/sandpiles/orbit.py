@@ -2,7 +2,7 @@
 lattice and transient analysis, and deterministic exports.
 
 Two exploration lanes live here.  ``build`` materialises the full graph
-(vertices, edges, move labels) and feeds every analysis below it.  For
+(vertices, edges, depths, sinks) and feeds every analysis below it.  For
 sweeps where only the number of reachable shapes and the set of sinks
 matter, ``sink_census`` walks the same state space without storing edges;
 under the rightward-only model it runs as a vectorised per-level sweep,
@@ -19,23 +19,15 @@ depths there, so its lanes deduplicate globally.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    Configuration,
-    Model,
-    Move,
-    _is_fixed_tuple,
-    _moves_with_results,
-    _succ_tuples,
-    energy,
-)
+from .core import Configuration, Model, _fire, energy
 from .structure import (
     enumerate_fixed_points,
     lr_splits,
@@ -67,22 +59,18 @@ class OrbitGraph:
 
     Vertex ids are assigned breadth-first, ties broken lexicographically
     on the height sequence, so two builds of the same orbit agree id for
-    id.  Edges are deduplicated per (source, target) shape pair; the
-    moves that induce each edge ride along in edge_moves.
+    id.  Edges are deduplicated per (source, target) shape pair, since
+    distinct moves may produce the same shape; the moves behind an edge
+    can be recovered from its two endpoint shapes.
     """
 
     model: Model
     root: Configuration
     vertices: tuple[Configuration, ...]
     edges: tuple[tuple[int, int], ...]
-    edge_moves: tuple[tuple[Move, ...], ...]
     depths: tuple[int, ...]
     sink_ids: tuple[int, ...]
     truncated: bool
-
-    @cached_property
-    def index(self) -> dict[Configuration, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def out_lists(self) -> tuple[tuple[int, ...], ...]:
@@ -91,58 +79,23 @@ class OrbitGraph:
             outs[u].append(v)
         return tuple(tuple(t) for t in outs)
 
-    @cached_property
-    def in_lists(self) -> tuple[tuple[int, ...], ...]:
-        ins: list[list[int]] = [[] for _ in self.vertices]
-        for u, v in self.edges:
-            ins[v].append(u)
-        return tuple(tuple(t) for t in ins)
-
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
-
-
-def _expand_chunk(args: tuple[list[tuple[int, ...]], str]) -> list:
-    # Top-level so worker processes can unpickle it.
-    chunk, model_value = args
-    model = Model(model_value)
-    return [_moves_with_results(t, model) for t in chunk]
-
-
-def _expand_frontier(
-    frontier: list[tuple[int, ...]],
-    model: Model,
-    pool: ProcessPoolExecutor | None,
-    workers: int,
-) -> list[list[tuple[Move, tuple[int, ...]]]]:
-    if pool is None or len(frontier) < 2 * workers:
-        return [_moves_with_results(t, model) for t in frontier]
-    step = (len(frontier) + workers - 1) // workers
-    chunks = [
-        (frontier[i : i + step], model.value) for i in range(0, len(frontier), step)
-    ]
-    merged: list[list[tuple[Move, tuple[int, ...]]]] = []
-    # Chunks are contiguous slices and map preserves their order, so the
-    # merged list is identical to what the sequential loop produces.
-    for part in pool.map(_expand_chunk, chunks):
-        merged.extend(part)
-    return merged
 
 
 def build(
     root: Configuration,
     model: Model,
     limits: ExplorationLimits | None = None,
-    workers: int = 1,
 ) -> OrbitGraph:
     """Explore everything reachable from root and intern it as a graph.
 
     Exploration is breadth-first with the frontier kept in lexicographic
-    order; with workers > 1 the frontier is expanded in parallel slices
-    whose results merge at one commit point per level, so the outcome is
-    identical to the sequential build.  When a limit cuts exploration
-    short the graph keeps what was found and is flagged truncated.
+    order.  Every interned vertex is expanded exactly once, also when a
+    limit cuts exploration short; the graph then keeps what was found,
+    drops edges into shapes that were never interned, and is flagged
+    truncated.
     """
     if limits is None:
         limits = ExplorationLimits()
@@ -150,54 +103,40 @@ def build(
     intern: dict[tuple[int, ...], int] = {root_t: 0}
     verts: list[tuple[int, ...]] = [root_t]
     depths: list[int] = [0]
-    edge_map: dict[tuple[int, int], set[Move]] = {}
+    # children[u] is the set of shapes one move away from verts[u]
+    children: list[set[tuple[int, ...]]] = []
     frontier: list[tuple[int, ...]] = [root_t]
     truncated = False
     depth = 0
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
-            expansions = _expand_frontier(frontier, model, pool, workers)
-            fresh = sorted(
-                {child for exp in expansions for _, child in exp} - intern.keys()
-            )
-            if fresh and limits.max_depth is not None and depth == limits.max_depth:
-                truncated = True
-                fresh = []
-            room = limits.max_vertices - len(verts)
-            if len(fresh) > room:
-                truncated = True
-                fresh = fresh[: max(room, 0)]
-            for t in fresh:
-                intern[t] = len(verts)
-                verts.append(t)
-                depths.append(depth + 1)
-            for parent, exp in zip(frontier, expansions):
-                u = intern[parent]
-                for mv, child in exp:
-                    v = intern.get(child)
-                    if v is not None:
-                        edge_map.setdefault((u, v), set()).add(mv)
-            frontier = fresh
-            depth += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    edges = tuple(sorted(edge_map))
-    edge_moves = tuple(
-        tuple(sorted(edge_map[e], key=Move.sort_key)) for e in edges
-    )
-    sink_ids = tuple(
-        i for i, t in enumerate(verts) if _is_fixed_tuple(t, model)
+    while frontier:
+        level = [{child for _, _, child in _fire(t, model)} for t in frontier]
+        children.extend(level)
+        fresh = sorted(set().union(*level) - intern.keys())
+        if fresh and limits.max_depth is not None and depth == limits.max_depth:
+            truncated = True
+            fresh = []
+        room = limits.max_vertices - len(verts)
+        if len(fresh) > room:
+            truncated = True
+            fresh = fresh[: max(room, 0)]
+        for t in fresh:
+            intern[t] = len(verts)
+            verts.append(t)
+            depths.append(depth + 1)
+        frontier = fresh
+        depth += 1
+    edges = tuple(
+        (u, v)
+        for u, kids in enumerate(children)
+        for v in sorted(intern[t] for t in kids if t in intern)
     )
     return OrbitGraph(
         model=model,
         root=root,
         vertices=tuple(Configuration(t) for t in verts),
         edges=edges,
-        edge_moves=edge_moves,
         depths=tuple(depths),
-        sink_ids=sink_ids,
+        sink_ids=tuple(u for u, kids in enumerate(children) if not kids),
         truncated=truncated,
     )
 
@@ -530,10 +469,10 @@ def _census_python(
     while True:
         nxt: set[tuple[int, ...]] = set()
         for t in frontier:
-            succ = _succ_tuples(t, model)
-            if not succ:
+            kids = _fire(t, model)
+            if not kids:
                 found.append(t)
-            nxt |= succ
+            nxt.update(map(itemgetter(2), kids))
         nxt -= visited
         if not nxt:
             break

@@ -299,4 +299,4 @@ def enumerate_fixed_points(n: int) -> tuple[Configuration, ...]:
     """
     if n < 1:
         raise ValueError("need at least one grain")
-    return tuple(Configuration(t) for t in sorted(_fixed_point_tuples(n)))
+    return tuple(Configuration._trusted(t) for t in sorted(_fixed_point_tuples(n)))

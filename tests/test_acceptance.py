@@ -249,9 +249,6 @@ def test_10_builds_and_exports_are_reproducible():
     root = C.single_column(12)
     one = build(root, Model.SSPM)
     two = build(root, Model.SSPM)
-    fanned = build(root, Model.SSPM, workers=2)
-    blobs = [
-        (export(g, "json"), export(g, "dot")) for g in (one, two, fanned)
-    ]
-    ok = blobs[0] == blobs[1] == blobs[2]
-    report(10, ok, "repeat and parallel builds export byte-identical graphs")
+    blobs = [(export(g, "json"), export(g, "dot")) for g in (one, two)]
+    ok = blobs[0] == blobs[1]
+    report(10, ok, "repeat builds export byte-identical graphs")

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sandpiles
 from sandpiles import (
     Configuration,
     Model,
@@ -21,6 +24,7 @@ from sandpiles.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    TRUNCATED,
     count_table,
     evolve,
     main,
@@ -31,11 +35,17 @@ from sandpiles.cli import (
 C = Configuration
 
 
+# The child process imports the same package as this one, installed or not.
+PACKAGE_ROOT = str(Path(sandpiles.__file__).resolve().parents[1])
+
+
 def run_cli(*args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "sandpiles.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -83,6 +93,15 @@ class TestEvolve:
         a = evolve(C((9,)), Model.SSPM, seed=3)
         b = evolve(C((9,)), Model.SSPM, seed=3)
         assert a == b
+
+    def test_golden_sspm_trajectory(self):
+        # pins the order in which the seeded schedule sees SSPM options:
+        # ascending column, left before right at one column
+        path = evolve(C((9,)), Model.SSPM, seed=3)
+        assert " ".join(str(c) for c in path) == (
+            "9 1,8 2,7 3,6 3,5,1 4,4,1 1,3,4,1 2,2,4,1 2,3,3,1 2,3,2,2"
+            " 1,1,3,2,2 1,2,2,2,2 1,2,2,2,1,1"
+        )
 
     def test_every_step_is_a_legal_move(self):
         from sandpiles import successors
@@ -191,6 +210,36 @@ class TestMainWithFiles:
         rc = main(["count", "--n", "6", "--bfs-cutoff", "2", "--format", "csv", "--out", str(out)])
         assert rc == EXIT_OK
         assert out.read_text().split("\n")[6] == "6,1,1,2,"
+
+    def test_count_truncation_exit_code(self, tmp_path):
+        out = tmp_path / "c.txt"
+        argv = ["count", "--n", "10", "--bfs-cutoff", "10", "--max-vertices", "5"]
+        rc = main(argv + ["--out", str(out)])
+        assert rc == EXIT_LIMIT
+        rows = [line.split() for line in out.read_text().split("\n")[1:]]
+        assert len(rows) == 10
+        for n, _, _, closed, search in rows:
+            # og((n)) under SSPM has more than 5 vertices from n = 4 on
+            assert search == (TRUNCATED if int(n) >= 4 else closed)
+
+    def test_profile_table(self, capsys):
+        rc = main(["profile", "--n", "8", "--model", "spm"])
+        assert rc == EXIT_OK
+        lines = capsys.readouterr().out.split("\n")
+        assert lines[0].split() == ["n", "vertices", "edges", "sinks", "short", "long", "secs", "lattice"]
+        last = lines[8].split()
+        assert last[:6] == ["8", "13", "15", "1", "9", "9"] and last[7] == "yes"
+
+    def test_profile_limit_exit(self, capsys, monkeypatch):
+        from sandpiles import cli
+        from sandpiles.orbit import ExplorationLimits
+
+        monkeypatch.setattr(cli, "ExplorationLimits", lambda: ExplorationLimits(max_vertices=30))
+        rc = main(["profile", "--n", "8"])
+        assert rc == EXIT_LIMIT
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 7  # header and n = 1..6
+        assert "og((7))" in captured.err
 
     def test_verify_report(self, tmp_path):
         out = tmp_path / "v.txt"

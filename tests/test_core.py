@@ -15,6 +15,7 @@ from sandpiles import (
     apply_move,
     enabled_moves,
     energy,
+    enumerate_fixed_points,
     frontier_step,
     grains,
     is_fixed_point,
@@ -50,6 +51,9 @@ class TestConfiguration:
             C((0, 0))
         with pytest.raises(ValueError):
             C((3, -1, 1))
+        for bad in [(2.5,), (True, 3), ("3",)]:
+            with pytest.raises(TypeError, match="heights must be int"):
+                C(bad)
 
     def test_ordering_is_lexicographic(self):
         assert sorted([C((2, 1)), C((1, 2)), C((1, 1, 1))]) == [
@@ -84,6 +88,10 @@ class TestGrainsAndSlope:
             slope(C((3, 1)), 3, R)
         with pytest.raises(IndexError):
             slope(C((3, 1)), 0, L)
+        with pytest.raises(IndexError):
+            apply_move(C((3, 1)), Move(R, 3))
+        with pytest.raises(IndexError):
+            apply_move(C((3, 1)), Move(L, 0))
 
 
 class TestMoves:
@@ -225,3 +233,12 @@ def test_purity(c, model):
 def test_frontier_step_is_union_of_successors(batch, model):
     want = frozenset().union(*(successors(c, model) for c in batch)) if batch else frozenset()
     assert frontier_step(batch, model) == want
+
+
+@given(st.integers(1, 400))
+def test_enumerated_fixed_points_pass_the_constructor_checks(n):
+    # enumerate_fixed_points skips the constructor's checks for the tuples
+    # it computes (Configuration._trusted); each must be a shape the
+    # checked constructor accepts unchanged
+    for d in enumerate_fixed_points(n):
+        assert d == C(d.columns)
