@@ -8,12 +8,28 @@ matter, ``sink_census`` walks the same state space without storing edges;
 under the rightward-only model it runs as a vectorised per-level sweep,
 which is what makes exhaustive checks up to a hundred grains practical.
 
-The per-level sweep needs no global visited table: a rightward move at
-column i raises the weighted sum Σ i·c_i by exactly 1 (also when it
-appends a new column), so every path from the root to a given shape has
-the same length and a shape can never reappear at a later level.  The
-symmetric model has no such potential; shapes do recur at different
-depths there, so its lanes deduplicate globally.
+The per-level sweep needs no visited table and no dedupe: every shape is
+emitted once, by one canonical parent.  Write d_i = c_i - c_{i+1}.  A
+rightward move at column i needs d_i >= 2, lowers d_i by 2 and raises
+d_{i-1} and d_{i+1} by 1: it is a chip-firing move at vertex i of a path
+(Björner, Lovász & Shor 1991).  A shape fixes how often each column has
+fired (its firing vector: the grains that crossed each column border), so
+every path from the root to a shape makes the same moves in some order,
+all such paths have the same length, and a shape appears on one level
+only.  Call a column an endpoint of a shape when undoing one of its
+firings gives an orbit member from which that firing is legal; the
+canonical parent undoes the largest endpoint.  So each row remembers the
+column L fired to create it, and firing column i from it is kept only
+when L <= i, or when L = i + 1 and the drop at i is exactly 2.  Every
+other child has a larger endpoint, found by swapping the two firings: if
+L >= i + 2, firing L left d_i alone, so i could fire first and L after
+it; if L = i + 1 with d_i >= 3, d_i was at least 2 before L fired, and
+firing i first only raises d_L.  When the drop at i is 2, firing L is
+what enabled i, so this swap is not available.  (That a kept child has
+no endpoint right of i is the other half; the tests compare this sweep
+with the visited-set lane on every root of up to 14 grains in up to 4
+columns.)  The symmetric model has no such structure; shapes recur at
+different depths there, so its lane deduplicates globally.
 """
 
 from __future__ import annotations
@@ -282,11 +298,8 @@ def verify(g: OrbitGraph) -> VerificationReport:
     """
     checks: list[CheckResult] = []
 
-    bad_edge = None
-    for u, v in g.edges:
-        if energy(g.vertices[u]) <= energy(g.vertices[v]):
-            bad_edge = (u, v)
-            break
+    energies = [energy(v) for v in g.vertices]
+    bad_edge = next(((u, v) for u, v in g.edges if energies[u] <= energies[v]), None)
     if bad_edge is None:
         checks.append(CheckResult("energy-decrease", "pass"))
     else:
@@ -374,11 +387,10 @@ def export(g: OrbitGraph, fmt: str) -> bytes:
         }
         return json.dumps(doc, separators=(",", ":")).encode("ascii")
     if kind == "dot":
+        names = [f'"{v}"' for v in g.vertices]
         lines = ["digraph og {"]
-        for v in g.vertices:
-            lines.append(f'  "{v}";')
-        for u, v in g.edges:
-            lines.append(f'  "{g.vertices[u]}" -> "{g.vertices[v]}";')
+        lines.extend(f"  {name};" for name in names)
+        lines.extend(f"  {names[u]} -> {names[v]};" for u, v in g.edges)
         lines.append("}")
         return ("\n".join(lines) + "\n").encode("ascii")
     raise ValueError(f"unsupported export format: {fmt!r}")
@@ -411,6 +423,7 @@ def _census_spm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkC
     width += (-width) % 8
     a = np.zeros((1, width), dtype=np.uint8)
     a[0, : len(cols)] = cols
+    last = np.array([-1])  # the column fired to create each row
     vertex_count = 0
     depth = 0
     truncated = False
@@ -424,24 +437,21 @@ def _census_spm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkC
         if not movable.all():
             for row in a[~movable]:
                 found.append(tuple(int(x) for x in row if x))
-        rows, cols_idx = np.nonzero(fire)
+        # Keep the children whose canonical parent is this row: column
+        # i >= last, or i == last - 1 with a drop of exactly 2.
+        col = np.arange(diff.shape[1], dtype=np.int16)
+        fire &= col + (diff == 2) >= last[:, None]
+        rows, last = np.nonzero(fire)
         kids = a[rows]
         lane = np.arange(len(rows))
-        kids[lane, cols_idx] -= 1
-        kids[lane, cols_idx + 1] += 1
+        kids[lane, last] -= 1
+        kids[lane, last + 1] += 1
         if not len(kids):
             break
         if kids[:, -1].any():
             # A shape reached the padded edge; widen so the next level's
             # rightmost slope is still visible.
             kids = np.pad(kids, ((0, 0), (0, 8)))
-        key = np.ascontiguousarray(kids).view(">u8")
-        order = np.lexsort(key.T[::-1])
-        key = key[order]
-        keep = np.empty(len(key), dtype=bool)
-        keep[0] = True
-        np.not_equal(key[1:], key[:-1]).any(axis=1, out=keep[1:])
-        kids = kids[order[keep]]
         if limits.max_depth is not None and depth == limits.max_depth:
             truncated = True
             break
@@ -501,9 +511,12 @@ def sink_census(
     """Count the reachable shapes and collect the sinks, without edges.
 
     Rightward-only roots with heights under 256 go through the array
-    sweep described in the module docstring; everything else walks a
-    plain visited-set frontier.  Results agree with build() wherever
-    both fit in memory, which the test suite pins down on small cases.
+    sweep described in the module docstring, which emits each shape once,
+    from its canonical parent, and so never sorts or dedupes a level.
+    Everything else walks a plain visited-set frontier, which relies on
+    the dynamics alone and is the oracle the array sweep is tested
+    against.  Results agree with build() wherever both fit in memory,
+    which the test suite pins down on small cases.
     """
     if limits is None:
         limits = ExplorationLimits()

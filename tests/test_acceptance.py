@@ -12,7 +12,7 @@ from math import isqrt
 
 import pytest
 
-from conftest import compositions
+from conftest import compositions, spm_orbit_size
 from sandpiles import (
     Configuration,
     Model,
@@ -110,6 +110,10 @@ def test_04_spm_funnels_to_the_staircase():
         if res.truncated or res.sinks != (spm_fixed_point(n),):
             ok = False
             detail = f"n={n} gave {[str(s) for s in res.sinks]}"
+            break
+        if res.vertex_count != spm_orbit_size(n):
+            ok = False
+            detail = f"n={n} reached {res.vertex_count} shapes, expected {spm_orbit_size(n)}"
             break
     eight = sink_census(C.single_column(8), Model.SPM).sinks
     if eight != (C((3, 2, 2, 1)),):

@@ -27,7 +27,9 @@ from sandpiles import (
     verify,
 )
 
-from conftest import naive_orbit, spm_orbit_size
+from sandpiles.orbit import _census_python, _census_spm_array
+
+from conftest import compositions, naive_orbit, spm_orbit_size
 
 C = Configuration
 
@@ -345,8 +347,29 @@ class TestSinkCensus:
         assert census.truncated and census.vertex_count == 3  # (300),(299,1),(298,2)... level sizes 1,1,1
 
     def test_vertex_cap_truncates(self):
-        census = sink_census(C((30,)), Model.SPM, ExplorationLimits(max_vertices=50))
-        assert census.truncated and census.vertex_count <= 50
+        limits = ExplorationLimits(max_vertices=50)
+        census = sink_census(C((30,)), Model.SPM, limits)
+        assert census.truncated
+        assert census == _census_python((30,), Model.SPM, limits)
+
+    def test_array_lane_matches_python_lane_on_small_roots(self):
+        # the visited-set lane relies on the dynamics alone, so agreement
+        # on every small root pins down the array lane's canonical-parent
+        # rule: no shape emitted twice, none missed
+        limits = ExplorationLimits()
+        for n in range(1, 15):
+            for cols in compositions(n):
+                if len(cols) <= 4:
+                    want = _census_python(cols, Model.SPM, limits)
+                    assert _census_spm_array(cols, limits) == want, cols
+
+    @pytest.mark.parametrize("max_vertices", [1, 50, 1000])
+    @pytest.mark.parametrize("max_depth", [None, 0, 3, 40])
+    def test_array_lane_matches_python_lane_under_limits(self, max_vertices, max_depth):
+        limits = ExplorationLimits(max_vertices=max_vertices, max_depth=max_depth)
+        for cols in [(30,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
+            want = _census_python(cols, Model.SPM, limits)
+            assert _census_spm_array(cols, limits) == want, cols
 
     def test_depth_cap(self):
         census = sink_census(C((8,)), Model.SSPM, ExplorationLimits(max_depth=3))
