@@ -5,10 +5,11 @@ Two exploration lanes live here.  ``build`` materialises the full graph
 (vertices, edges, depths, sinks) and feeds every analysis below it.  For
 sweeps where only the number of reachable shapes and the set of sinks
 matter, ``sink_census`` walks the same state space without storing edges;
-under the rightward-only model it runs as a vectorised per-level sweep,
-which is what makes exhaustive checks up to a hundred grains practical.
+under either model it runs as a vectorised per-level sweep, which is what
+makes exhaustive checks practical (up to a hundred grains under the
+rightward-only rule).
 
-The per-level sweep needs no visited table and no dedupe: every shape is
+The SPM sweep needs no visited table and no dedupe: every shape is
 emitted once, by one canonical parent.  Write d_i = c_i - c_{i+1}.  A
 rightward move at column i needs d_i >= 2, lowers d_i by 2 and raises
 d_{i-1} and d_{i+1} by 1: it is a chip-firing move at vertex i of a path
@@ -28,8 +29,19 @@ firing i first only raises d_L.  When the drop at i is 2, firing L is
 what enabled i, so this swap is not available.  (That a kept child has
 no endpoint right of i is the other half; the tests compare this sweep
 with the visited-set lane on every root of up to 14 grains in up to 4
-columns.)  The symmetric model has no such structure; shapes recur at
-different depths there, so its lane deduplicates globally.
+columns.)
+
+The SSPM model has no such structure: shapes recur at different
+depths there, so its sweep keeps every shape it has seen and dedupes each
+level against them.  A shape of n grains is a composition of n, and its
+key is the 64-bit mask of its interior partial sums 0 < S < n, which is
+exact and blind to translation.  A grain crossing the border after column
+j changes only that partial sum S_j, by one, so a child's key is its
+parent's key XOR bit[S_j] XOR bit[S_j +- 1], with bit[0] = bit[n] = 0 for
+the borders past either end.  Each level computes its children's keys
+without building a row, sorts them, drops the keys already seen, and only
+then copies and moves the surviving rows.  The mask caps this sweep at 64
+grains.
 """
 
 from __future__ import annotations
@@ -94,6 +106,28 @@ class OrbitGraph:
         for u, v in self.edges:
             outs[u].append(v)
         return tuple(tuple(t) for t in outs)
+
+    @cached_property
+    def topo_order(self) -> tuple[int, ...] | None:
+        """The vertex ids in a topological order, or None on a cycle."""
+        # Kahn's algorithm.  BFS discovery order is not topological here
+        # because an edge may point at a shape discovered earlier on
+        # another branch.
+        indeg = [0] * self.vertex_count
+        for _, v in self.edges:
+            indeg[v] += 1
+        ready = [i for i in range(self.vertex_count) if indeg[i] == 0]
+        order: list[int] = []
+        while ready:
+            u = ready.pop()
+            order.append(u)
+            for v in self.out_lists[u]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    ready.append(v)
+        if len(order) != self.vertex_count:
+            return None
+        return tuple(order)
 
     @property
     def vertex_count(self) -> int:
@@ -167,33 +201,12 @@ class TransientStats(NamedTuple):
     longest: int
 
 
-def _topo_order(g: OrbitGraph) -> list[int] | None:
-    # Kahn's algorithm; None signals a cycle.  BFS discovery order is not
-    # topological here because an edge may point at a shape discovered
-    # earlier on another branch.
-    indeg = [0] * g.vertex_count
-    for _, v in g.edges:
-        indeg[v] += 1
-    ready = [i for i in range(g.vertex_count) if indeg[i] == 0]
-    order: list[int] = []
-    while ready:
-        u = ready.pop()
-        order.append(u)
-        for v in g.out_lists[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    if len(order) != g.vertex_count:
-        return None
-    return order
-
-
 def transient_stats(g: OrbitGraph) -> TransientStats:
     """Shortest and longest root-to-sink path lengths over the DAG."""
     if g.truncated:
         raise ValueError("transient statistics need the complete orbit graph")
     shortest = min(g.depths[i] for i in g.sink_ids)
-    order = _topo_order(g)
+    order = g.topo_order
     if order is None:
         raise ValueError("orbit graph contains a cycle")
     longest_to = [0] * g.vertex_count
@@ -228,7 +241,7 @@ def lattice_check(g: OrbitGraph) -> bool:
         return False
     if len(g.sink_ids) != 1:
         return False
-    order = _topo_order(g)
+    order = g.topo_order
     if order is None:
         return False
     rank = [0] * m
@@ -312,7 +325,7 @@ def verify(g: OrbitGraph) -> VerificationReport:
             )
         )
 
-    if _topo_order(g) is None:
+    if g.topo_order is None:
         checks.append(CheckResult("acyclic", "fail", "cycle detected"))
     else:
         checks.append(CheckResult("acyclic", "pass"))
@@ -468,6 +481,83 @@ def _census_spm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkC
     )
 
 
+def _census_sspm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkCensus:
+    n = sum(cols)
+    # bit[s] stands for an interior partial sum 0 < s < n; a shape's key
+    # is the OR of bit[s] over all its column borders, so the borders past
+    # either end (sums 0 and n) must add nothing.
+    bit = np.zeros(n + 1, dtype=np.uint64)
+    bit[1:n] = np.left_shift(np.uint64(1), np.arange(1, n, dtype=np.uint64))
+    width = len(cols) + 2
+    width += (-width) % 8
+    # Rows hold heights left-aligned behind one zero guard column; int8
+    # holds every height, slope and partial sum of at most 64 grains.
+    a = np.zeros((1, width), dtype=np.int8)
+    a[0, 1 : len(cols) + 1] = cols
+    key = np.bitwise_or.reduce(bit[np.cumsum(a[0])], keepdims=True)
+    seen = key  # every key visited so far, sorted
+    depth = 0
+    truncated = False
+    found: list[tuple[int, ...]] = []
+    while True:
+        d = a[:, 1:] - a[:, :-1]  # d[:, j] is the slope across border j
+        fire = np.abs(d) >= 2
+        movable = fire.any(axis=1)
+        if not movable.all():
+            for row in a[~movable]:
+                found.append(tuple(int(x) for x in row if x))
+        flat = np.flatnonzero(fire)
+        if not len(flat):
+            break
+        # A grain crossing border j moves the partial sum s there by one:
+        # up when it moves left (d > 0), down when it moves right.
+        step = np.sign(d.ravel()[flat])
+        s = np.cumsum(a[:, :-1], axis=1, dtype=np.int8).ravel()[flat]
+        kid_key = key[flat // (width - 1)] ^ bit[s] ^ bit[s + step]
+        # Dedupe the level; any child of a key will do as its row.
+        pick = np.argsort(kid_key)
+        kid_key = kid_key[pick]
+        first = np.concatenate(([True], kid_key[1:] != kid_key[:-1]))
+        key, pick = kid_key[first], pick[first]
+        at = np.minimum(np.searchsorted(seen, key), len(seen) - 1)
+        fresh = seen[at] != key
+        key, pick = key[fresh], pick[fresh]
+        if not len(key):
+            break
+        if limits.max_depth is not None and depth == limits.max_depth:
+            truncated = True
+            break
+        if len(seen) + len(key) > limits.max_vertices:
+            truncated = True
+            break
+        seen = np.concatenate((seen, key))
+        seen.sort(kind="stable")  # a merge of two sorted runs
+        rows, j = np.divmod(flat[pick], width - 1)
+        step = step[pick]
+        kids = a[rows]
+        cell = np.arange(len(rows)) * width + j
+        flat_kids = kids.ravel()
+        flat_kids[cell] += step
+        flat_kids[cell + 1] -= step
+        guard = np.flatnonzero(j == 0)
+        if len(guard):
+            # A grain landed on the guard column; move the row right.
+            kids[guard, 1:] = kids[guard, :-1]
+            kids[guard, 0] = 0
+        if kids[:, -1].any():
+            # Keep an empty last column so every right edge can fire.
+            kids = np.pad(kids, ((0, 0), (0, 8)))
+            width += 8
+        a = kids
+        depth += 1
+    return SinkCensus(
+        len(seen),
+        tuple(Configuration(t) for t in sorted(found)),
+        depth,
+        truncated,
+    )
+
+
 def _census_python(
     cols: tuple[int, ...], model: Model, limits: ExplorationLimits
 ) -> SinkCensus:
@@ -510,16 +600,26 @@ def sink_census(
 ) -> SinkCensus:
     """Count the reachable shapes and collect the sinks, without edges.
 
-    Rightward-only roots with heights under 256 go through the array
-    sweep described in the module docstring, which emits each shape once,
-    from its canonical parent, and so never sorts or dedupes a level.
-    Everything else walks a plain visited-set frontier, which relies on
-    the dynamics alone and is the oracle the array sweep is tested
-    against.  Results agree with build() wherever both fit in memory,
-    which the test suite pins down on small cases.
+    Three lanes, picked by the model and the root alone:
+
+    * rightward-only roots with heights under 256 go through the SPM
+      array sweep, which emits each shape once, from its canonical
+      parent, and so never sorts or dedupes a level;
+    * symmetric roots of at most 64 grains go through the SSPM array
+      sweep, which keys each shape by a 64-bit mask of its partial sums
+      and dedupes every level against all keys seen so far;
+    * everything else walks a plain visited-set frontier, which relies on
+      the dynamics alone and is the oracle both array sweeps are tested
+      against.
+
+    The module docstring describes both sweeps.  Results agree with
+    build() wherever both fit in memory, which the test suite pins down
+    on small cases.
     """
     if limits is None:
         limits = ExplorationLimits()
     if model is Model.SPM and max(root.columns) <= 255:
         return _census_spm_array(root.columns, limits)
+    if model is Model.SSPM and root.grains <= 64:
+        return _census_sspm_array(root.columns, limits)
     return _census_python(root.columns, model, limits)

@@ -257,34 +257,34 @@ def fixed_point_counts(n: int, include_shapes: bool = False) -> FixedPointCensus
     return FixedPointCensus(n, g1, g2, shapes)
 
 
-def _flank(p: int, dup: int) -> tuple[int, ...]:
-    # Ascending heights 1..p-1, with the step of height dup (if any) doubled.
-    if dup == 0:
-        return tuple(range(1, p))
-    return tuple(range(1, dup + 1)) + tuple(range(dup, p))
-
-
 def _fixed_point_tuples(n: int) -> set[tuple[int, ...]]:
+    # Each flank is a staircase with at most one step doubled: slicing the
+    # ascending stairs asc at j, asc[:j] + asc[j - 1:], doubles the step
+    # of height j, and the same cut on the descending stairs mirrors it.
     shapes: set[tuple[int, ...]] = set()
     p = isqrt(n)
     u = n - p * p
     if p >= 1:
         # one-column top: pyramid 1..p..1 holds p*p grains, the u spare
         # grains double one step on each flank (jl on the left, jr right)
+        asc = tuple(range(1, p))
+        desc = asc[::-1]
         for jl in range(max(0, u - (p - 1)), min(p - 1, u) + 1):
             jr = u - jl
-            shapes.add(_flank(p, jl) + (p,) + tuple(reversed(_flank(p, jr))))
+            left = asc[:jl] + asc[max(jl - 1, 0) :]
+            right = desc[: p - jr] + desc[p - 1 - jr :]
+            shapes.add(left + (p,) + right)
     q = (isqrt(4 * n + 1) - 1) // 2
     v = n - q * q - q
     if q >= 1:
         # two-column top: base pyramid 1..q,q..1 holds q*q+q grains; a
         # flank value of q widens the top to three columns
+        asc = tuple(range(1, q + 1))
+        desc = asc[::-1]
         for jl in range(max(0, v - q), min(q, v) + 1):
             jr = v - jl
-            left = tuple(range(1, q + 1)) if jl == q else _flank(q, jl)
-            right = tuple(range(q, 0, -1)) if jr == q else tuple(
-                reversed(_flank(q, jr))
-            )
+            left = asc[:jl] + asc[max(jl - 1, 0) : q - 1]
+            right = desc[1 : q - jr + 1] + desc[q - jr :]
             shapes.add(left + (q, q) + right)
     return shapes
 

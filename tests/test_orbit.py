@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sandpiles import (
+    CheckResult,
     Configuration,
     ExplorationLimits,
     Model,
@@ -17,6 +18,7 @@ from sandpiles import (
     build,
     enabled_moves,
     energy,
+    enumerate_fixed_points,
     export,
     frontier_step,
     lattice_check,
@@ -27,7 +29,8 @@ from sandpiles import (
     verify,
 )
 
-from sandpiles.orbit import _census_python, _census_spm_array
+from sandpiles import orbit
+from sandpiles.orbit import _census_python, _census_spm_array, _census_sspm_array
 
 from conftest import compositions, naive_orbit, spm_orbit_size
 
@@ -214,6 +217,23 @@ class TestVerify:
         assert energy_check.status == "fail" and "2,1,1" in energy_check.detail
         assert rep.checks[1].status == "fail"  # the fabricated edge closes a cycle
 
+    def test_cycle_is_reported_by_every_reader_of_the_order(self):
+        # 1 -> 2 -> 1 is a cycle behind a single source and a single sink
+        g = OrbitGraph(
+            model=Model.SPM,
+            root=C((4,)),
+            vertices=(C((4,)), C((3, 1)), C((2, 2)), C((2, 1, 1))),
+            edges=((0, 1), (1, 2), (2, 1), (2, 3)),
+            depths=(0, 1, 2, 3),
+            sink_ids=(3,),
+            truncated=False,
+        )
+        assert g.topo_order is None
+        assert verify(g).checks[1] == CheckResult("acyclic", "fail", "cycle detected")
+        with pytest.raises(ValueError, match="contains a cycle"):
+            transient_stats(g)
+        assert not lattice_check(g)
+
     def test_truncated_graph_skips_reachability_checks(self):
         g = build(C((8,)), Model.SSPM, ExplorationLimits(max_vertices=3))
         rep = verify(g)
@@ -370,6 +390,51 @@ class TestSinkCensus:
         for cols in [(30,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
             want = _census_python(cols, Model.SPM, limits)
             assert _census_spm_array(cols, limits) == want, cols
+
+    def test_sspm_array_lane_matches_python_lane_on_small_roots(self):
+        # every shape recurs through the sorted key set, never the rows,
+        # so agreement here pins down the key, its XOR update, the guard
+        # shift and the global dedupe
+        limits = ExplorationLimits()
+        for n in range(1, 15):
+            for cols in compositions(n):
+                if len(cols) <= 4:
+                    want = _census_python(cols, Model.SSPM, limits)
+                    assert _census_sspm_array(cols, limits) == want, cols
+
+    @pytest.mark.parametrize("max_vertices", [1, 50, 1000])
+    @pytest.mark.parametrize("max_depth", [None, 0, 3, 40])
+    def test_sspm_array_lane_matches_python_lane_under_limits(
+        self, max_vertices, max_depth
+    ):
+        limits = ExplorationLimits(max_vertices=max_vertices, max_depth=max_depth)
+        for cols in [(8,), (20,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
+            want = _census_python(cols, Model.SSPM, limits)
+            assert _census_sspm_array(cols, limits) == want, cols
+
+    @pytest.mark.parametrize(
+        "limits", [ExplorationLimits(max_vertices=2000), ExplorationLimits(max_depth=5)]
+    )
+    def test_sspm_lane_gate_is_the_64_bit_key(self, limits, monkeypatch):
+        # (64) sets the key's top bit on its first move; (65) would need a
+        # 65th bit, so it must take the visited-set lane
+        want64 = _census_python((64,), Model.SSPM, limits)
+        want65 = _census_python((65,), Model.SSPM, limits)
+
+        def refuse(*args):
+            raise AssertionError("wrong census lane")
+
+        with monkeypatch.context() as m:
+            m.setattr(orbit, "_census_python", refuse)
+            assert sink_census(C((64,)), Model.SSPM, limits) == want64
+        with monkeypatch.context() as m:
+            m.setattr(orbit, "_census_sspm_array", refuse)
+            assert sink_census(C((65,)), Model.SSPM, limits) == want65
+
+    def test_sspm_sinks_are_the_fixed_point_templates(self):
+        # the dynamics route and the template route, shape for shape
+        for n in range(1, 25):
+            assert sink_census(C((n,)), Model.SSPM).sinks == enumerate_fixed_points(n), n
 
     def test_depth_cap(self):
         census = sink_census(C((8,)), Model.SSPM, ExplorationLimits(max_depth=3))
