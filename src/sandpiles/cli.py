@@ -19,6 +19,8 @@ from pathlib import Path
 from .core import Configuration, Model, _fire
 from .orbit import (
     ExplorationLimits,
+    OrbitGraph,
+    SinkCensus,
     build,
     export,
     lattice_check,
@@ -77,7 +79,7 @@ def render_gallery(shapes: tuple[Configuration, ...], gap: str = "  ") -> str:
 
 def count_table(
     n_max: int, bfs_cutoff: int, limits: ExplorationLimits | None = None
-) -> tuple[list[tuple[int, int, int, int, int | str | None]], bool]:
+) -> tuple[list[tuple[int, int, int, int, int | str | None]], bool, tuple[int, SinkCensus] | None]:
     """Rows (n, single-top, wide-top, closed-form total, search total).
 
     The search column is filled by an actual sweep for n up to the
@@ -85,28 +87,39 @@ def count_table(
     hit an exploration limit.  The boolean reports whether every row is
     internally consistent: the two family counts sum to the closed form,
     the closed form equals isqrt(n), and the sweep (when it ran to the
-    end) found the same number of sinks.
+    end) found the same number of sinks.  The last item is the first
+    truncated sweep, as (n, census), or None when no limit was hit.
     """
     rows: list[tuple[int, int, int, int, int | str | None]] = []
     ok = True
+    cut: tuple[int, SinkCensus] | None = None
     for n in range(1, n_max + 1):
         census = fixed_point_counts(n)
         searched: int | str | None = None
         if n <= bfs_cutoff:
             swept = sink_census(Configuration((n,)), Model.SSPM, limits)
             searched = TRUNCATED if swept.truncated else len(swept.sinks)
+            if swept.truncated and cut is None:
+                cut = (n, swept)
         rows.append((n, census.single_top, census.wide_top, census.total, searched))
         if census.total != isqrt(n) or census.total != census.single_top + census.wide_top:
             ok = False
         if isinstance(searched, int) and searched != census.total:
             ok = False
-    return rows, ok
+    return rows, ok, cut
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
     return value
 
 
@@ -149,6 +162,20 @@ def _limits(ns: argparse.Namespace) -> ExplorationLimits:
     return ExplorationLimits(max_vertices=ns.max_vertices)
 
 
+def _limit_hit(what: str, limits: ExplorationLimits, vertices: int, depth: int) -> int:
+    # One stderr line per exit 3; standard output is left as it was.
+    print(
+        f"error: {what} exceeds max_vertices={limits.max_vertices}:"
+        f" stopped at {vertices} vertices, depth {depth}",
+        file=sys.stderr,
+    )
+    return EXIT_LIMIT
+
+
+def _graph_limit_hit(g: OrbitGraph, limits: ExplorationLimits) -> int:
+    return _limit_hit(f"og(({g.root}))", limits, g.vertex_count, max(g.depths))
+
+
 def _cmd_evolve(ns: argparse.Namespace) -> int:
     model = Model(ns.model)
     trajectory = evolve(_root(ns), model, ns.seed)
@@ -165,9 +192,10 @@ def _cmd_evolve(ns: argparse.Namespace) -> int:
 
 
 def _cmd_graph(ns: argparse.Namespace) -> int:
-    g = build(_root(ns), Model(ns.model), _limits(ns))
+    limits = _limits(ns)
+    g = build(_root(ns), Model(ns.model), limits)
     _emit(export(g, ns.format), ns.out)
-    return EXIT_LIMIT if g.truncated else EXIT_OK
+    return _graph_limit_hit(g, limits) if g.truncated else EXIT_OK
 
 
 def _cmd_fixpoints(ns: argparse.Namespace) -> int:
@@ -185,7 +213,8 @@ def _cmd_fixpoints(ns: argparse.Namespace) -> int:
 
 
 def _cmd_count(ns: argparse.Namespace) -> int:
-    rows, ok = count_table(ns.n, ns.bfs_cutoff, _limits(ns))
+    limits = _limits(ns)
+    rows, ok, cut = count_table(ns.n, ns.bfs_cutoff, limits)
     header = ("n", "g1", "g2", "closed", "search")
     if ns.format == "csv":
         lines = [",".join(header)]
@@ -203,15 +232,19 @@ def _cmd_count(ns: argparse.Namespace) -> int:
     _emit("\n".join(lines), ns.out)
     if not ok:
         return EXIT_MISMATCH
-    return EXIT_LIMIT if any(row[4] == TRUNCATED for row in rows) else EXIT_OK
+    if cut is None:
+        return EXIT_OK
+    n, census = cut
+    return _limit_hit(f"og(({n})), the first truncated row,", limits, census.vertex_count, census.depth)
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    g = build(_root(ns), Model(ns.model), _limits(ns))
+    limits = _limits(ns)
+    g = build(_root(ns), Model(ns.model), limits)
     report = verify(g)
     _emit(str(report), ns.out)
     if g.truncated:
-        return EXIT_LIMIT
+        return _graph_limit_hit(g, limits)
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
@@ -232,8 +265,7 @@ def _cmd_profile(ns: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         g = build(Configuration((n,)), model, limits)
         if g.truncated:
-            print(f"error: og(({n})) exceeds {limits.max_vertices} vertices", file=sys.stderr)
-            return EXIT_LIMIT
+            return _graph_limit_hit(g, limits)
         stats = transient_stats(g)
         row = (
             f"{n:>4} {g.vertex_count:>9} {len(g.edges):>9} {len(g.sink_ids):>6}"
@@ -300,7 +332,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True, help="largest grain count tabulated")
     p.add_argument(
         "--bfs-cutoff",
-        type=int,
+        type=_non_negative_int,
         default=24,
         help="fill the search column for n up to this bound (default 24)",
     )

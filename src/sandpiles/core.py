@@ -76,11 +76,12 @@ class Configuration:
     def _trusted(cls, cols: tuple[int, ...]) -> "Configuration":
         # Skips the checks above, for enumerate_fixed_points alone: its
         # tuples are trimmed positive ints by construction, and the
-        # benchmark's sqrt_law workload builds about 38,000 of them (up to
-        # 78 columns wide) for n <= 1500.  Checking every height of those
-        # raised sqrt_law wall_s by about 30 % (median of 4 run pairs,
-        # 2 vCPU, Python 3.11), beyond its 25 % bound; a C-level check
-        # (the set of height types) was slower still on those widths.
+        # benchmark's sqrt_law workload builds 38,019 of them (up to 78
+        # columns wide) for n <= 1500.  Wrapping those takes 0.03 s this
+        # way and 0.16-0.19 s through the checks (best of 11, 2 vCPU,
+        # Python 3.11), while building their tuples from the flank tables
+        # takes 0.05 s and a whole sqrt_law pass about 0.2 s.  A C-level
+        # check (the set of height types) was slower still on those widths.
         c = object.__new__(cls)
         object.__setattr__(c, "columns", cols)
         return c

@@ -12,12 +12,15 @@ Fixed points admit closed-form counts: n grains leave isqrt(n) distinct
 stable shapes, split between those with a one-column top and those with a
 two-column top.  ``enumerate_fixed_points`` materialises them directly
 from staircase templates, never by search, so orbit explorations can be
-checked against an independent route.
+checked against an independent route: each shape is a left flank joined
+to a right flank, both taken from tables kept per top height, emitted in
+lexicographic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import Iterator
 
@@ -257,35 +260,63 @@ def fixed_point_counts(n: int, include_shapes: bool = False) -> FixedPointCensus
     return FixedPointCensus(n, g1, g2, shapes)
 
 
-def _fixed_point_tuples(n: int) -> set[tuple[int, ...]]:
-    # Each flank is a staircase with at most one step doubled: slicing the
-    # ascending stairs asc at j, asc[:j] + asc[j - 1:], doubles the step
-    # of height j, and the same cut on the descending stairs mirrors it.
-    shapes: set[tuple[int, ...]] = set()
+# (lefts, rights): the left flanks with the top appended, and the right
+# flanks, both indexed by the doubled step.
+Flanks = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+
+
+# The flank tables depend on the top height alone, which consecutive n
+# share, so each family keeps the tables of its last height.
+@lru_cache(maxsize=1)
+def _single_top_flanks(p: int) -> Flanks:
+    # One-column top: the pyramid 1..p..1 holds p*p grains.  lefts[j] is
+    # the ascending flank 1..p-1 with the step of height j doubled (j = 0
+    # doubles none), the top (p,) appended; rights[j] is the descending
+    # flank p-1..1 with step j doubled.  Slicing the stairs at j,
+    # asc[:j] + asc[j - 1:], doubles step j.
+    asc = tuple(range(1, p))
+    desc = asc[::-1]
+    lefts = tuple(asc[:j] + asc[max(j - 1, 0) :] + (p,) for j in range(p))
+    rights = tuple(desc[: p - j] + desc[p - 1 - j :] for j in range(p))
+    return lefts, rights
+
+
+@lru_cache(maxsize=1)
+def _double_top_flanks(q: int) -> Flanks:
+    # Two-column top: the pyramid 1..q,q..1 holds q*q+q grains.  As above
+    # with the top (q, q) in lefts, and j runs up to q: doubling step q
+    # widens the top to three columns.
+    asc = tuple(range(1, q + 1))
+    desc = asc[::-1]
+    lefts = tuple(asc[:j] + asc[max(j - 1, 0) : q - 1] + (q, q) for j in range(q + 1))
+    rights = tuple(desc[1 : q - j + 1] + desc[q - j :] for j in range(q + 1))
+    return lefts, rights
+
+
+def _family(flanks: Flanks, u: int, skip_bare_left: bool) -> list[tuple[int, ...]]:
+    # Every split jl + jr = u of the spare grains over the two flanks, in
+    # lexicographic order: jl = 1, 2, ... and last jl = 0, whose left
+    # flank climbs one step higher than any doubled one at the first
+    # place they differ.
+    lefts, rights = flanks
+    lo, hi = max(0, u - len(rights) + 1), min(len(lefts) - 1, u)
+    shapes = [lefts[j] + rights[u - j] for j in range(max(lo, 1), hi + 1)]
+    if lo == 0 and not skip_bare_left:
+        shapes.append(lefts[0] + rights[u])
+    return shapes
+
+
+def _fixed_point_tuples(n: int) -> list[tuple[int, ...]]:
     p = isqrt(n)
-    u = n - p * p
-    if p >= 1:
-        # one-column top: pyramid 1..p..1 holds p*p grains, the u spare
-        # grains double one step on each flank (jl on the left, jr right)
-        asc = tuple(range(1, p))
-        desc = asc[::-1]
-        for jl in range(max(0, u - (p - 1)), min(p - 1, u) + 1):
-            jr = u - jl
-            left = asc[:jl] + asc[max(jl - 1, 0) :]
-            right = desc[: p - jr] + desc[p - 1 - jr :]
-            shapes.add(left + (p,) + right)
+    shapes = _family(_single_top_flanks(p), n - p * p, False)
     q = (isqrt(4 * n + 1) - 1) // 2
-    v = n - q * q - q
     if q >= 1:
-        # two-column top: base pyramid 1..q,q..1 holds q*q+q grains; a
-        # flank value of q widens the top to three columns
-        asc = tuple(range(1, q + 1))
-        desc = asc[::-1]
-        for jl in range(max(0, v - q), min(q, v) + 1):
-            jr = v - jl
-            left = asc[:jl] + asc[max(jl - 1, 0) : q - 1]
-            right = desc[1 : q - jr + 1] + desc[q - jr :]
-            shapes.add(left + (q, q) + right)
+        # at v == q, jl = 0 gives 1..q-1,q,q,q,q-1..1, the jl = q shape
+        v = n - q * q - q
+        shapes += _family(_double_top_flanks(q), v, v == q)
+    # one maximal column against two or more: the families never share a
+    # shape, and sorting two ascending runs is one linear merge
+    shapes.sort()
     return shapes
 
 
@@ -293,10 +324,15 @@ def enumerate_fixed_points(n: int) -> tuple[Configuration, ...]:
     """All stable shapes of the symmetric rules on n grains, built from
     staircase templates and returned in lexicographic order.
 
-    The list always has exactly isqrt(n) entries; the two template
-    families overlap in one shape whenever both flanks of the double-top
-    family are fully loaded, and the set construction absorbs that.
+    The list always has exactly isqrt(n) entries.  Each shape is one
+    concatenation of a left and a right flank from per-height tables.
+    Each family comes out already in lexicographic order, and the two
+    runs are merged.  One collision remains: when the grains above the
+    two-column-top pyramid number exactly its height q, doubling step q
+    on the right flank alone and on the left flank alone both widen the
+    top to the same three columns.  The right-flank template is skipped,
+    so no duplicate is built and no set is needed.
     """
     if n < 1:
         raise ValueError("need at least one grain")
-    return tuple(Configuration._trusted(t) for t in sorted(_fixed_point_tuples(n)))
+    return tuple(map(Configuration._trusted, _fixed_point_tuples(n)))

@@ -13,6 +13,7 @@ import pytest
 import sandpiles
 from sandpiles import (
     Configuration,
+    ExplorationLimits,
     Model,
     build,
     enumerate_fixed_points,
@@ -113,20 +114,27 @@ class TestEvolve:
 
 class TestCountTable:
     def test_totals_up_to_five(self):
-        rows, ok = count_table(5, bfs_cutoff=5)
-        assert ok
+        rows, ok, cut = count_table(5, bfs_cutoff=5)
+        assert ok and cut is None
         assert [r[3] for r in rows] == [1, 1, 1, 2, 2]
         assert [r[4] for r in rows] == [1, 1, 1, 2, 2]
 
     def test_single_row(self):
-        rows, ok = count_table(1, bfs_cutoff=1)
-        assert ok and rows == [(1, 1, 0, 1, 1)]
+        rows, ok, cut = count_table(1, bfs_cutoff=1)
+        assert ok and cut is None and rows == [(1, 1, 0, 1, 1)]
 
     def test_search_column_respects_cutoff(self):
-        rows, ok = count_table(10, bfs_cutoff=4)
-        assert ok
+        rows, ok, cut = count_table(10, bfs_cutoff=4)
+        assert ok and cut is None
         assert all(r[4] is not None for r in rows[:4])
         assert all(r[4] is None for r in rows[4:])
+
+    def test_first_truncated_sweep_is_returned(self):
+        rows, ok, cut = count_table(10, 10, ExplorationLimits(max_vertices=5))
+        n, census = cut
+        assert ok and n == 4 and census.truncated
+        assert census.vertex_count == 5 and census.depth == 2
+        assert [r[0] for r in rows if r[4] == TRUNCATED][0] == 4
 
 
 class TestMainWithFiles:
@@ -142,11 +150,14 @@ class TestMainWithFiles:
         assert rc == EXIT_OK
         assert out.read_bytes() == export(build(C((5,)), Model.SSPM), "dot")
 
-    def test_graph_truncation_exit_code(self, tmp_path):
+    def test_graph_truncation_exit_code(self, tmp_path, capsys):
         out = tmp_path / "g.json"
         rc = main(["graph", "--n", "8", "--max-vertices", "3", "--out", str(out)])
         assert rc == EXIT_LIMIT
         assert json.loads(out.read_bytes())["truncated"] is True
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: og((8)) exceeds max_vertices=3: stopped at 3 vertices, depth 1\n"
 
     def test_graph_from_explicit_config(self, tmp_path):
         out = tmp_path / "g.json"
@@ -211,11 +222,17 @@ class TestMainWithFiles:
         assert rc == EXIT_OK
         assert out.read_text().split("\n")[6] == "6,1,1,2,"
 
-    def test_count_truncation_exit_code(self, tmp_path):
+    def test_count_truncation_exit_code(self, tmp_path, capsys):
         out = tmp_path / "c.txt"
         argv = ["count", "--n", "10", "--bfs-cutoff", "10", "--max-vertices", "5"]
         rc = main(argv + ["--out", str(out)])
         assert rc == EXIT_LIMIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: og((4)), the first truncated row, exceeds max_vertices=5:"
+            " stopped at 5 vertices, depth 2\n"
+        )
         rows = [line.split() for line in out.read_text().split("\n")[1:]]
         assert len(rows) == 10
         for n, _, _, closed, search in rows:
@@ -239,7 +256,7 @@ class TestMainWithFiles:
         assert rc == EXIT_LIMIT
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == 7  # header and n = 1..6
-        assert "og((7))" in captured.err
+        assert captured.err.startswith("error: og((7)) exceeds max_vertices=30: stopped at ")
 
     def test_verify_report(self, tmp_path):
         out = tmp_path / "v.txt"
@@ -248,11 +265,14 @@ class TestMainWithFiles:
         text = out.read_text()
         assert "sink-census: pass" in text and "fail" not in text
 
-    def test_verify_limit_exit(self, tmp_path):
+    def test_verify_limit_exit(self, tmp_path, capsys):
         out = tmp_path / "v.txt"
         rc = main(["verify", "--n", "8", "--max-vertices", "3", "--out", str(out)])
         assert rc == EXIT_LIMIT
         assert "skipped" in out.read_text()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: og((8)) exceeds max_vertices=3: stopped at 3 vertices, depth 1\n"
 
 
 class TestUsageErrors:
@@ -270,6 +290,7 @@ class TestUsageErrors:
             ["fixpoints"],
             ["graph", "--config", "1,0,1"],
             ["nonsense", "--n", "4"],
+            ["count", "--n", "5", "--bfs-cutoff", "-1"],
         ],
     )
     def test_rejected_invocations(self, argv):

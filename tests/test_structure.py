@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from math import isqrt
 
 import pytest
@@ -28,6 +30,17 @@ from sandpiles import (
 from conftest import compositions, naive_crazed, naive_orbit
 
 C = Configuration
+
+# sha256 of every shape for n = 1..N, one per line in the order of n and
+# then of enumerate_fixed_points, recorded from the earlier set-and-sort
+# construction of the templates.
+FIXED_POINTS_400 = "1e60ae9b5917210c7ffdebe07b38189aceed7d1e98b546a9b2d726d47f27d7ca"
+FIXED_POINTS_2000 = "bc6cd548b577493a59021df34e73ec5d05bfa389e330322f2e6ae34467806fe3"
+
+
+def fixed_point_digest(shapes: dict[int, tuple[Configuration, ...]], n_max: int) -> str:
+    text = "\n".join(str(c) for n in range(1, n_max + 1) for c in shapes[n])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 shapes = st.lists(st.integers(1, 12), min_size=1, max_size=10).map(tuple).map(C)
 
@@ -235,9 +248,25 @@ class TestEnumeration:
         assert len(enumerate_fixed_points(4)) == 2
 
     def test_lexicographic_and_distinct(self):
-        for n in (7, 12, 20, 33):
-            fps = enumerate_fixed_points(n)
-            assert list(fps) == sorted(set(fps))
+        # every n <= 3000 covers the v == q collision of the two-column-top
+        # templates, both tapers of the counts and the p/q boundaries
+        for n in range(1, 3001):
+            cols = [f.columns for f in enumerate_fixed_points(n)]
+            assert all(a < b for a, b in zip(cols, cols[1:])), n
+
+    def test_call_order_does_not_matter(self):
+        # the flank tables are cached per top height; calls that jump
+        # between heights must not see a stale table.  Each order is held
+        # to the digest, since the ascending calls may share its fault.
+        shuffled = list(range(1, 401))
+        random.Random(6).shuffle(shuffled)
+        for order in (range(1, 401), range(400, 0, -1), shuffled):
+            shapes = {n: enumerate_fixed_points(n) for n in order}
+            assert fixed_point_digest(shapes, 400) == FIXED_POINTS_400, list(order)[:3]
+
+    def test_golden_digest(self):
+        shapes = {n: enumerate_fixed_points(n) for n in range(1, 2001)}
+        assert fixed_point_digest(shapes, 2000) == FIXED_POINTS_2000
 
     def test_every_shape_is_a_reachable_fixed_point(self):
         for n in range(1, 150):
