@@ -31,6 +31,19 @@ no endpoint right of i is the other half; the tests compare this sweep
 with the visited-set lane on every root of up to 14 grains in up to 4
 columns.)
 
+The sweep stores each shape in these slope coordinates, as the row
+(-c_0, d_0, ..., d_{W-1}) with c_W = 0 and its last column kept empty.
+Firing column j then adds one fixed vector to the row, e_j - 2 e_{j+1} +
+e_{j+2}: the j-th row of the path Laplacian, with -c_0 standing in for
+d_{-1}.  A level finds its kept firings as flat indices into one boolean
+array, gathers the parent rows and the move vectors with two ``take``
+calls, and adds them; heights are rebuilt, by a reverse cumulative sum,
+only for the sinks.  A column gains a grain only from a neighbour at
+least 2 higher, so no column ever exceeds the root's tallest, and every
+entry of a row lies in [-max, max] for that tallest column max.  Rows
+are int8 up to a column of 127, int16 up to 32767 and wider beyond, so
+every SPM root takes this sweep.
+
 The SSPM model has no such structure: shapes recur at different
 depths there, so its sweep keeps every shape it has seen and dedupes each
 level against them.  A shape of n grains is a composition of n, and its
@@ -48,8 +61,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from math import isqrt
+from functools import cached_property, reduce
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -69,12 +81,18 @@ from .structure import (
 @dataclass(frozen=True)
 class ExplorationLimits:
     """Guard rails for exploration; hitting one flags the result as
-    truncated rather than raising."""
+    truncated rather than raising.  Both limits must be plain ints (or
+    None for no depth limit); floats, strings and bools are refused with
+    a TypeError."""
 
     max_vertices: int = 5_000_000
     max_depth: int | None = None
 
     def __post_init__(self) -> None:
+        if type(self.max_vertices) is not int:
+            raise TypeError(f"max_vertices must be int, got {self.max_vertices!r}")
+        if self.max_depth is not None and type(self.max_depth) is not int:
+            raise TypeError(f"max_depth must be int, got {self.max_depth!r}")
         if self.max_vertices < 1:
             raise ValueError("max_vertices must be positive")
         if self.max_depth is not None and self.max_depth < 0:
@@ -205,10 +223,10 @@ def transient_stats(g: OrbitGraph) -> TransientStats:
     """Shortest and longest root-to-sink path lengths over the DAG."""
     if g.truncated:
         raise ValueError("transient statistics need the complete orbit graph")
-    shortest = min(g.depths[i] for i in g.sink_ids)
     order = g.topo_order
     if order is None:
         raise ValueError("orbit graph contains a cycle")
+    shortest = min(g.depths[i] for i in g.sink_ids)
     longest_to = [0] * g.vertex_count
     for u in order:
         du = longest_to[u]
@@ -222,12 +240,16 @@ def transient_stats(g: OrbitGraph) -> TransientStats:
 def lattice_check(g: OrbitGraph) -> bool:
     """Decide whether reachability turns the vertex set into a lattice.
 
-    The order is u below v iff u is reachable from v.  Requires a unique
-    source and a unique sink, then checks every vertex pair for a
-    greatest lower and least upper bound via ancestor/descendant bitset
-    intersections.  If a pair has a greatest lower bound it must be the
-    topologically earliest common descendant, so only that candidate is
-    tested (dually for least upper bounds).
+    The order is u below v iff u is reachable from v.  Requires an
+    acyclic graph with a unique source and a unique sink, then checks
+    every vertex pair for a greatest lower bound via descendant bitset
+    intersections.  The unique sink lies below every vertex, so each
+    pair has a common descendant; if the pair has a greatest lower bound
+    it must be the topologically earliest of them, so only that candidate
+    is tested.  Joins need no test: a finite poset with a greatest element
+    (here the unique source) in which every pair has a meet is a lattice,
+    because the join of a and b is the meet of their common upper bounds,
+    a set that holds the greatest element and so is never empty.
     """
     if g.truncated:
         raise ValueError("lattice check needs the complete orbit graph")
@@ -248,32 +270,19 @@ def lattice_check(g: OrbitGraph) -> bool:
     for r, u in enumerate(order):
         rank[u] = r
     out_r: list[list[int]] = [[] for _ in range(m)]
-    in_r: list[list[int]] = [[] for _ in range(m)]
     for u, v in g.edges:
         out_r[rank[u]].append(rank[v])
-        in_r[rank[v]].append(rank[u])
     desc = [0] * m
     for r in range(m - 1, -1, -1):
         acc = 1 << r
         for s in out_r[r]:
             acc |= desc[s]
         desc[r] = acc
-    anc = [0] * m
-    for r in range(m):
-        acc = 1 << r
-        for s in in_r[r]:
-            acc |= anc[s]
-        anc[r] = acc
-    for a in range(m):
-        da, aa = desc[a], anc[a]
-        for b in range(a + 1, m):
-            lower = da & desc[b]
+    for a, da in enumerate(desc):
+        for db in desc[a + 1 :]:
+            lower = da & db
             glb = (lower & -lower).bit_length() - 1
             if lower & ~desc[glb]:
-                return False
-            upper = aa & anc[b]
-            lub = upper.bit_length() - 1
-            if upper & ~anc[lub]:
                 return False
     return True
 
@@ -420,22 +429,41 @@ class SinkCensus(NamedTuple):
     truncated: bool
 
 
-def _width_cap(n: int) -> int:
-    # Widest reachable shape on n grains: the cheapest admissible shape
-    # of width w is the staircase w-1, w-2, ..., 1 with the bottom step
-    # doubled, holding (w-1)w/2 + 1 grains.
-    if n <= 1:
-        return 1
-    m = (isqrt(8 * (n - 1) + 1) - 1) // 2
-    return m + 1
+def _int_type(top: int) -> type:
+    # The narrowest signed integer type that holds -top..top.
+    for t in (np.int8, np.int16, np.int32, np.int64):
+        if top <= np.iinfo(t).max:
+            return t
+    raise OverflowError(f"no numpy integer type holds {top}")
+
+
+def _spm_moves(width: int, dtype: type) -> np.ndarray:
+    # moves[j] fires column j: on the row (-c_0, d_0, ..., d_{W-1}) it
+    # is e_j - 2 e_{j+1} + e_{j+2}, the j-th row of the path Laplacian.
+    # The last column is kept empty and never fires, so the entry cut off
+    # from moves[W-1] is never needed.
+    return (
+        np.eye(width, width + 1, 0, dtype)
+        - 2 * np.eye(width, width + 1, 1, dtype)
+        + np.eye(width, width + 1, 2, dtype)
+    )
 
 
 def _census_spm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkCensus:
-    n = sum(cols)
-    width = max(len(cols), _width_cap(n)) + 1
+    # Rows start one empty column wider than the root and grow as shapes
+    # reach the edge, so the (W, W+1) move table stays as small as the
+    # shapes the sweep has met.
+    width = len(cols) + 1
     width += (-width) % 8
-    a = np.zeros((1, width), dtype=np.uint8)
-    a[0, : len(cols)] = cols
+    # Every entry of a row lies in [-max(cols), max(cols)]: a column only
+    # gains a grain from a neighbour at least 2 higher, so none ever
+    # exceeds the root's tallest.
+    dtype = _int_type(max(cols))
+    h = np.zeros(width + 2, dtype=dtype)
+    h[1 : len(cols) + 1] = cols
+    a = (h[:-1] - h[1:])[None]  # (-c_0, d_0, ..., d_{W-1}), with c_W = 0
+    moves = _spm_moves(width, dtype)
+    col = np.arange(width, dtype=_int_type(width))
     last = np.array([-1])  # the column fired to create each row
     vertex_count = 0
     depth = 0
@@ -443,28 +471,34 @@ def _census_spm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkC
     found: list[tuple[int, ...]] = []
     while True:
         vertex_count += len(a)
-        diff = a[:, :-1].astype(np.int16)
-        diff -= a[:, 1:]
-        fire = diff >= 2
-        movable = fire.any(axis=1)
-        if not movable.all():
-            for row in a[~movable]:
+        d = a[:, 1:]
+        fire = d >= 2
+        # OR each row's firing flags eight at a time; a word loop beats a
+        # reduction along an axis this short.
+        movable = reduce(np.bitwise_or, fire.view(np.uint64).T)
+        if np.count_nonzero(movable) < len(a):
+            # Partial sums of the slopes from the right are the heights,
+            # so they fit the row dtype and need no upcast.
+            stuck = d[movable == 0, ::-1].cumsum(axis=1, dtype=dtype)[:, ::-1]
+            for row in stuck:
                 found.append(tuple(int(x) for x in row if x))
         # Keep the children whose canonical parent is this row: column
-        # i >= last, or i == last - 1 with a drop of exactly 2.
-        col = np.arange(diff.shape[1], dtype=np.int16)
-        fire &= col + (diff == 2) >= last[:, None]
-        rows, last = np.nonzero(fire)
-        kids = a[rows]
-        lane = np.arange(len(rows))
-        kids[lane, last] -= 1
-        kids[lane, last + 1] += 1
-        if not len(kids):
+        # i >= last, or i == last - 1 with a drop of exactly 2.  The flags,
+        # viewed as int8, and last are added and compared in col's narrow
+        # type, without a cast to int64.
+        fire &= (d == 2).view(np.int8) + col >= last.astype(col.dtype)[:, None]
+        rows, last = np.divmod(fire.ravel().nonzero()[0], width)
+        if not len(rows):
             break
+        kids = a.take(rows, axis=0)
+        kids += moves.take(last, axis=0)
         if kids[:, -1].any():
             # A shape reached the padded edge; widen so the next level's
             # rightmost slope is still visible.
             kids = np.pad(kids, ((0, 0), (0, 8)))
+            width += 8
+            moves = _spm_moves(width, dtype)
+            col = np.arange(width, dtype=_int_type(width))
         if limits.max_depth is not None and depth == limits.max_depth:
             truncated = True
             break
@@ -602,15 +636,18 @@ def sink_census(
 
     Three lanes, picked by the model and the root alone:
 
-    * rightward-only roots with heights under 256 go through the SPM
-      array sweep, which emits each shape once, from its canonical
-      parent, and so never sorts or dedupes a level;
+    * every rightward-only root goes through the SPM array sweep, which
+      stores each shape as slopes, (-c_0, d_0, d_1, ...), so that a move
+      adds one fixed vector to the row, and emits each shape once, from
+      its canonical parent, so it never sorts or dedupes a level; its
+      rows are int8, int16 or wider as the root's tallest column needs,
+      since no entry ever exceeds that column;
     * symmetric roots of at most 64 grains go through the SSPM array
       sweep, which keys each shape by a 64-bit mask of its partial sums
       and dedupes every level against all keys seen so far;
-    * everything else walks a plain visited-set frontier, which relies on
-      the dynamics alone and is the oracle both array sweeps are tested
-      against.
+    * symmetric roots of more than 64 grains walk a plain visited-set
+      frontier, which relies on the dynamics alone and is the oracle both
+      array sweeps are tested against.
 
     The module docstring describes both sweeps.  Results agree with
     build() wherever both fit in memory, which the test suite pins down
@@ -618,7 +655,7 @@ def sink_census(
     """
     if limits is None:
         limits = ExplorationLimits()
-    if model is Model.SPM and max(root.columns) <= 255:
+    if model is Model.SPM:
         return _census_spm_array(root.columns, limits)
     if model is Model.SSPM and root.grains <= 64:
         return _census_sspm_array(root.columns, limits)

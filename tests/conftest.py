@@ -107,3 +107,38 @@ def spm_orbit_size(n: int) -> int:
     non-increasing crazed shapes of n grains by a recurrence, with no
     dynamics involved."""
     return sum(_extensions(n - h, h, 1, True) for h in range(1, n + 1))
+
+
+def naive_is_lattice(m: int, edges) -> bool:
+    """Whether vertices 0..m-1, ordered by u <= v iff u is reachable from
+    v, form a lattice: reachability sets by depth-first search, then every
+    pair tested for a meet and a join straight from the definitions."""
+    outs: list[list[int]] = [[] for _ in range(m)]
+    for u, v in edges:
+        outs[u].append(v)
+    below = []
+    for u in range(m):
+        seen = {u}
+        stack = [u]
+        while stack:
+            for v in outs[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        below.append(seen)
+    above = [{v for v in range(m) if u in below[v]} for u in range(m)]
+    # a cycle puts two distinct vertices below each other: not a poset
+    if any(v != u and u in below[v] for u in range(m) for v in below[u]):
+        return False
+
+    def has_bound(common: set[int], bounds: list[set[int]]) -> bool:
+        # some common bound c that every other common bound lies beyond
+        return any(all(x in bounds[c] for x in common) for c in common)
+
+    for a in range(m):
+        for b in range(a + 1, m):
+            if not has_bound(below[a] & below[b], below):
+                return False  # no greatest lower bound
+            if not has_bound(above[a] & above[b], above):
+                return False  # no least upper bound
+    return True

@@ -32,7 +32,7 @@ from sandpiles import (
 from sandpiles import orbit
 from sandpiles.orbit import _census_python, _census_spm_array, _census_sspm_array
 
-from conftest import compositions, naive_orbit, spm_orbit_size
+from conftest import compositions, naive_is_lattice, naive_orbit, spm_orbit_size
 
 C = Configuration
 
@@ -182,6 +182,21 @@ class TestTruncation:
         with pytest.raises(ValueError):
             ExplorationLimits(max_depth=-1)
 
+    def test_fractional_vertex_cap_is_refused(self):
+        # accepted, it would reach build and fail there in a slice
+        with pytest.raises(TypeError, match="max_vertices must be int, got 2.5"):
+            ExplorationLimits(max_vertices=2.5)
+
+    def test_fractional_depth_cap_is_refused(self):
+        # accepted, it would never equal a depth and so never truncate
+        with pytest.raises(TypeError, match="max_depth must be int, got 1.5"):
+            ExplorationLimits(max_depth=1.5)
+
+    @pytest.mark.parametrize("field", ["max_vertices", "max_depth"])
+    def test_bool_cap_is_refused(self, field):
+        with pytest.raises(TypeError, match=f"{field} must be int, got True"):
+            ExplorationLimits(**{field: True})
+
 
 class TestVerify:
     def test_good_graphs_pass_all_checks(self):
@@ -234,6 +249,22 @@ class TestVerify:
             transient_stats(g)
         assert not lattice_check(g)
 
+    def test_cycle_without_a_sink_is_reported(self):
+        # 1 -> 2 -> 1 with nothing after it: no vertex is a sink
+        g = OrbitGraph(
+            model=Model.SPM,
+            root=C((4,)),
+            vertices=(C((4,)), C((3, 1)), C((2, 2))),
+            edges=((0, 1), (1, 2), (2, 1)),
+            depths=(0, 1, 2),
+            sink_ids=(),
+            truncated=False,
+        )
+        assert verify(g).checks[1] == CheckResult("acyclic", "fail", "cycle detected")
+        with pytest.raises(ValueError, match="contains a cycle"):
+            transient_stats(g)
+        assert not lattice_check(g)
+
     def test_truncated_graph_skips_reachability_checks(self):
         g = build(C((8,)), Model.SSPM, ExplorationLimits(max_vertices=3))
         rep = verify(g)
@@ -277,6 +308,47 @@ class TestLattice:
             truncated=False,
         )
         assert not lattice_check(g)
+
+    @pytest.mark.parametrize("model", [Model.SPM, Model.SSPM])
+    def test_matches_naive_lattice_on_orbits(self, model):
+        for n in range(1, 13):
+            g = build(C((n,)), model)
+            assert lattice_check(g) == naive_is_lattice(g.vertex_count, g.edges), n
+
+
+@st.composite
+def small_digraphs(draw):
+    """Up to 8 vertices, each ordered pair an edge or not, no self-loops.
+    A quarter of the draws keep every pair and so may hold cycles; the
+    rest keep only the pairs from a smaller id to a larger, so they are
+    acyclic, and two thirds of those also join 0 to every vertex and
+    every vertex to m - 1, giving one source and one sink so that only
+    the meets decide.  Several sources or sinks are common in the
+    others."""
+    m = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["cyclic", "acyclic", "bounded", "bounded"]))
+    pairs = [(u, v) for u in range(m) for v in range(m) if u < v or (u > v and kind == "cyclic")]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {e for e, k in zip(pairs, keep) if k}
+    if kind == "bounded":
+        edges |= {(0, v) for v in range(1, m)} | {(u, m - 1) for u in range(m - 1)}
+    return m, sorted(edges)
+
+
+@settings(deadline=None, max_examples=500)
+@given(small_digraphs())
+def test_lattice_check_matches_naive_lattice_on_random_graphs(graph):
+    m, edges = graph
+    g = OrbitGraph(
+        model=Model.SPM,
+        root=C((1,)),
+        vertices=tuple(C((k + 1,)) for k in range(m)),
+        edges=tuple(edges),
+        depths=(0,) * m,
+        sink_ids=tuple(u for u in range(m) if all(s != u for s, _ in edges)),
+        truncated=False,
+    )
+    assert lattice_check(g) == naive_is_lattice(m, edges)
 
 
 class TestTransients:
@@ -360,7 +432,21 @@ class TestSinkCensus:
                 assert census.vertex_count == g.vertex_count
                 assert set(census.sinks) == set(sinks(g))
 
-    def test_tall_root_takes_fallback_lane(self):
+    @pytest.mark.parametrize(
+        "limits", [ExplorationLimits(max_vertices=2000), ExplorationLimits(max_depth=5)]
+    )
+    def test_spm_array_lane_takes_every_root(self, limits, monkeypatch):
+        # rows are int8 up to a column of 127, int16 up to 32767 and int32
+        # beyond; no root may fall back to the visited-set lane
+        roots = [(127,), (128,), (255,), (256,), (300,), (130, 200), (5, 40000, 3)]
+        want = {cols: _census_python(cols, Model.SPM, limits) for cols in roots}
+
+        def refuse(*args):
+            raise AssertionError("wrong census lane")
+
+        monkeypatch.setattr(orbit, "_census_python", refuse)
+        for cols in roots:
+            assert sink_census(C(cols), Model.SPM, limits) == want[cols], cols
         census = sink_census(
             C((300,)), Model.SPM, ExplorationLimits(max_depth=2)
         )
