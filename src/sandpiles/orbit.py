@@ -28,8 +28,8 @@ it; if L = i + 1 with d_i >= 3, d_i was at least 2 before L fired, and
 firing i first only raises d_L.  When the drop at i is 2, firing L is
 what enabled i, so this swap is not available.  (That a kept child has
 no endpoint right of i is the other half; the tests compare this sweep
-with the visited-set lane on every root of up to 14 grains in up to 4
-columns.)
+with a plain visited-set search on every root of up to 14 grains in up
+to 4 columns.)
 
 The sweep stores each shape in these slope coordinates, as the row
 (-c_0, d_0, ..., d_{W-1}) with c_W = 0 and its last column kept empty.
@@ -44,17 +44,23 @@ entry of a row lies in [-max, max] for that tallest column max.  Rows
 are int8 up to a column of 127, int16 up to 32767 and wider beyond, so
 every SPM root takes this sweep.
 
-The SSPM model has no such structure: shapes recur at different
-depths there, so its sweep keeps every shape it has seen and dedupes each
-level against them.  A shape of n grains is a composition of n, and its
-key is the 64-bit mask of its interior partial sums 0 < S < n, which is
-exact and blind to translation.  A grain crossing the border after column
-j changes only that partial sum S_j, by one, so a child's key is its
-parent's key XOR bit[S_j] XOR bit[S_j +- 1], with bit[0] = bit[n] = 0 for
-the borders past either end.  Each level computes its children's keys
-without building a row, sorts them, drops the keys already seen, and only
-then copies and moves the surviving rows.  The mask caps this sweep at 64
-grains.
+The SSPM model has no such structure: shapes recur at different depths
+there, so its sweep keeps every shape it has seen and dedupes each level
+against them.  A shape of n grains is a composition of n, and its key is
+the mask of its interior partial sums 0 < S < n, which is exact and
+blind to translation: sum S owns bit (S - 1) % 64 of word (S - 1) // 64
+of k = ceil((n - 1) / 64) uint64 words.  A grain crossing the border
+after column j changes only that partial sum S_j, by one, so a child's
+key is its parent's key XOR flip[t], where t = S_j or S_j - 1 is the
+lower of the two sums, flip[t] = bit[t] XOR bit[t + 1], and bit[0] =
+bit[n] = 0 for the borders past either end.  The flip table has n rows
+of k words, n * ceil((n - 1) / 64) words in all: 2 MB at 4,096 grains
+and 12 MB at 10^4, and the bit table it is made from is as large.  Each
+level computes its children's keys without building a row, sorts them
+(as one uint64 when k = 1, as one opaque 8k-byte item otherwise), drops
+the keys already seen, and only then copies and moves the surviving
+rows.  Rows hold heights in the narrowest signed int that holds n, so
+every SSPM root takes this sweep too.
 """
 
 from __future__ import annotations
@@ -62,7 +68,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -517,19 +522,31 @@ def _census_spm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkC
 
 def _census_sspm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkCensus:
     n = sum(cols)
-    # bit[s] stands for an interior partial sum 0 < s < n; a shape's key
-    # is the OR of bit[s] over all its column borders, so the borders past
-    # either end (sums 0 and n) must add nothing.
-    bit = np.zeros(n + 1, dtype=np.uint64)
-    bit[1:n] = np.left_shift(np.uint64(1), np.arange(1, n, dtype=np.uint64))
+    # bits[s] is the key bit of an interior partial sum 0 < s < n: bit
+    # (s - 1) % 64 of word (s - 1) // 64.  A shape's key is the OR of
+    # bits[s] over all its column borders, so the borders past either end
+    # (sums 0 and n) must add nothing.
+    k = max(1, -(-(n - 1) // 64))
+    inner = np.arange(1, n)
+    bits = np.zeros((n + 1, k), dtype=np.uint64)
+    bits[inner, (inner - 1) // 64] = np.left_shift(
+        np.uint64(1), ((inner - 1) % 64).astype(np.uint64)
+    )
+    # One key word sorts as itself; wider keys sort as one opaque item,
+    # which is a consistent total order, all that dedupe needs.
+    kt = np.uint64 if k == 1 else np.dtype((np.void, 8 * k))
+    key = np.bitwise_or.reduce(bits[np.cumsum(cols)]).view(kt)
+    seen = key  # every key visited so far, sorted
+    # A grain crossing a border moves its partial sum between t and t + 1,
+    # which flips flip[t]: two bits, in two words only where t is a
+    # multiple of 64.
+    flip = bits[:-1] ^ bits[1:]
+    dtype = _int_type(n)  # holds every height, slope and partial sum
     width = len(cols) + 2
     width += (-width) % 8
-    # Rows hold heights left-aligned behind one zero guard column; int8
-    # holds every height, slope and partial sum of at most 64 grains.
-    a = np.zeros((1, width), dtype=np.int8)
+    # Rows hold heights left-aligned behind one zero guard column.
+    a = np.zeros((1, width), dtype=dtype)
     a[0, 1 : len(cols) + 1] = cols
-    key = np.bitwise_or.reduce(bit[np.cumsum(a[0])], keepdims=True)
-    seen = key  # every key visited so far, sorted
     depth = 0
     truncated = False
     found: list[tuple[int, ...]] = []
@@ -544,10 +561,13 @@ def _census_sspm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> Sink
         if not len(flat):
             break
         # A grain crossing border j moves the partial sum s there by one:
-        # up when it moves left (d > 0), down when it moves right.
+        # up when it moves left (d > 0), down when it moves right.  So
+        # the lower of the two sums is s + (step >> 1), step >> 1 being 0
+        # or -1.
         step = np.sign(d.ravel()[flat])
-        s = np.cumsum(a[:, :-1], axis=1, dtype=np.int8).ravel()[flat]
-        kid_key = key[flat // (width - 1)] ^ bit[s] ^ bit[s + step]
+        s = np.cumsum(a[:, :-1], axis=1, dtype=dtype).ravel()[flat]
+        words = key.view(np.uint64).reshape(-1, k)
+        kid_key = (words[flat // (width - 1)] ^ flip[s + (step >> 1)]).view(kt).ravel()
         # Dedupe the level; any child of a key will do as its row.
         pick = np.argsort(kid_key)
         kid_key = kid_key[pick]
@@ -592,41 +612,6 @@ def _census_sspm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> Sink
     )
 
 
-def _census_python(
-    cols: tuple[int, ...], model: Model, limits: ExplorationLimits
-) -> SinkCensus:
-    visited = {cols}
-    frontier: set[tuple[int, ...]] = {cols}
-    depth = 0
-    truncated = False
-    found: list[tuple[int, ...]] = []
-    while True:
-        nxt: set[tuple[int, ...]] = set()
-        for t in frontier:
-            kids = _fire(t, model)
-            if not kids:
-                found.append(t)
-            nxt.update(map(itemgetter(2), kids))
-        nxt -= visited
-        if not nxt:
-            break
-        if limits.max_depth is not None and depth == limits.max_depth:
-            truncated = True
-            break
-        if len(visited) + len(nxt) > limits.max_vertices:
-            truncated = True
-            break
-        visited |= nxt
-        frontier = nxt
-        depth += 1
-    return SinkCensus(
-        len(visited),
-        tuple(Configuration(t) for t in sorted(found)),
-        depth,
-        truncated,
-    )
-
-
 def sink_census(
     root: Configuration,
     model: Model,
@@ -634,7 +619,7 @@ def sink_census(
 ) -> SinkCensus:
     """Count the reachable shapes and collect the sinks, without edges.
 
-    Three lanes, picked by the model and the root alone:
+    Two lanes, picked by the model alone:
 
     * every rightward-only root goes through the SPM array sweep, which
       stores each shape as slopes, (-c_0, d_0, d_1, ...), so that a move
@@ -642,21 +627,17 @@ def sink_census(
       its canonical parent, so it never sorts or dedupes a level; its
       rows are int8, int16 or wider as the root's tallest column needs,
       since no entry ever exceeds that column;
-    * symmetric roots of at most 64 grains go through the SSPM array
-      sweep, which keys each shape by a 64-bit mask of its partial sums
-      and dedupes every level against all keys seen so far;
-    * symmetric roots of more than 64 grains walk a plain visited-set
-      frontier, which relies on the dynamics alone and is the oracle both
-      array sweeps are tested against.
+    * every symmetric root goes through the SSPM array sweep, which keys
+      each shape by a mask of its partial sums, in as many 64-bit words
+      as the grains need, and dedupes every level against all keys seen
+      so far.
 
     The module docstring describes both sweeps.  Results agree with
     build() wherever both fit in memory, which the test suite pins down
-    on small cases.
+    on small cases, and with a plain visited-set search in the tests.
     """
     if limits is None:
         limits = ExplorationLimits()
     if model is Model.SPM:
         return _census_spm_array(root.columns, limits)
-    if model is Model.SSPM and root.grains <= 64:
-        return _census_sspm_array(root.columns, limits)
-    return _census_python(root.columns, model, limits)
+    return _census_sspm_array(root.columns, limits)

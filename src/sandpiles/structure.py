@@ -101,6 +101,18 @@ def _runs(cols: tuple[int, ...], a: int, b: int) -> Iterator[tuple[int, int]]:
         i = j
 
 
+def _window(cols: tuple[int, ...], lo: int, hi: int | None) -> tuple[int, int]:
+    # Columns lo..hi (1-based, inclusive; hi None for the last column) as
+    # the half-open 0-based range [lo - 1, hi).  An empty window, hi =
+    # lo - 1, is legal anywhere from before the first column to past the
+    # last.
+    if hi is None:
+        hi = len(cols)
+    if not 1 <= lo <= hi + 1 <= len(cols) + 1:
+        raise IndexError(f"window {lo}..{hi} out of range for width {len(cols)}")
+    return lo - 1, hi
+
+
 def is_crazed(c: Configuration, lo: int = 1, hi: int | None = None) -> bool:
     """Check the plateau discipline on columns lo..hi (1-based, inclusive).
 
@@ -109,11 +121,7 @@ def is_crazed(c: Configuration, lo: int = 1, hi: int | None = None) -> bool:
     least 2, strictly between them.  An empty window is vacuously crazed.
     """
     cols = c.columns
-    if hi is None:
-        hi = len(cols)
-    if not (0 <= lo - 1 and hi <= len(cols)):
-        raise IndexError(f"window {lo}..{hi} out of range for width {len(cols)}")
-    a, b = lo - 1, hi
+    a, b = _window(cols, lo, hi)
     seen_plateau = False
     cliff_since = True
     for start, length in _runs(cols, a, b):
@@ -136,11 +144,9 @@ def plateau_spans(
     """Maximal equal-height runs of length >= 2 inside a window, as
     (first, last) index pairs, 1-based."""
     cols = c.columns
-    if hi is None:
-        hi = len(cols)
     return tuple(
         (start + 1, start + length)
-        for start, length in _runs(cols, lo - 1, hi)
+        for start, length in _runs(cols, *_window(cols, lo, hi))
         if length >= 2
     )
 
@@ -148,10 +154,9 @@ def plateau_spans(
 def cliffs(c: Configuration, lo: int = 1, hi: int | None = None) -> tuple[int, ...]:
     """Positions i with |c_i - c_{i+1}| >= 2, both columns in the window."""
     cols = c.columns
-    if hi is None:
-        hi = len(cols)
+    a, b = _window(cols, lo, hi)
     return tuple(
-        i for i in range(lo, hi) if abs(cols[i] - cols[i - 1]) >= 2
+        i for i in range(a + 1, b) if abs(cols[i] - cols[i - 1]) >= 2
     )
 
 

@@ -60,6 +60,44 @@ def naive_orbit(
     return seen, edges, dead
 
 
+def naive_census(
+    cols: tuple[int, ...], model: str, limits
+) -> tuple[int, tuple[tuple[int, ...], ...], int, bool]:
+    """Plain level-by-level BFS over naive_successors, read as a sink
+    census: (shapes counted, sinks in sorted order, depth, truncated).
+
+    Every shape of a level is expanded and its sinks collected.  The
+    level's new shapes are then counted only if the depth limit is not
+    yet reached and they all fit under the vertex limit; otherwise the
+    census stops there, truncated.  Depth counts the levels counted
+    after the root's.
+    """
+    seen = {cols}
+    level = {cols}
+    dead: list[tuple[int, ...]] = []
+    depth = 0
+    truncated = False
+    while True:
+        new: set[tuple[int, ...]] = set()
+        for c in level:
+            kids = naive_successors(c, model)
+            if not kids:
+                dead.append(c)
+            new.update(kids - seen)
+        if not new:
+            break
+        if limits.max_depth is not None and depth == limits.max_depth:
+            truncated = True
+            break
+        if len(seen) + len(new) > limits.max_vertices:
+            truncated = True
+            break
+        seen |= new
+        level = new
+        depth += 1
+    return len(seen), tuple(sorted(dead)), depth, truncated
+
+
 def naive_crazed(cols: tuple[int, ...]) -> bool:
     """Plateau discipline by pair positions: every two consecutive equal
     pairs need a jump of at least 2 strictly between them."""

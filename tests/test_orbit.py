@@ -29,12 +29,23 @@ from sandpiles import (
     verify,
 )
 
-from sandpiles import orbit
-from sandpiles.orbit import _census_python, _census_spm_array, _census_sspm_array
+from sandpiles.orbit import _census_spm_array, _census_sspm_array
 
-from conftest import compositions, naive_is_lattice, naive_orbit, spm_orbit_size
+from conftest import (
+    compositions,
+    naive_census,
+    naive_is_lattice,
+    naive_orbit,
+    spm_orbit_size,
+)
 
 C = Configuration
+
+
+def plain(census):
+    """A SinkCensus with its sinks as bare height tuples, the way
+    naive_census reports them."""
+    return census._replace(sinks=tuple(s.columns for s in census.sinks))
 
 
 class TestBuild:
@@ -435,18 +446,13 @@ class TestSinkCensus:
     @pytest.mark.parametrize(
         "limits", [ExplorationLimits(max_vertices=2000), ExplorationLimits(max_depth=5)]
     )
-    def test_spm_array_lane_takes_every_root(self, limits, monkeypatch):
+    def test_spm_array_lane_takes_every_root(self, limits):
         # rows are int8 up to a column of 127, int16 up to 32767 and int32
-        # beyond; no root may fall back to the visited-set lane
+        # beyond; every root takes the one SPM lane
         roots = [(127,), (128,), (255,), (256,), (300,), (130, 200), (5, 40000, 3)]
-        want = {cols: _census_python(cols, Model.SPM, limits) for cols in roots}
-
-        def refuse(*args):
-            raise AssertionError("wrong census lane")
-
-        monkeypatch.setattr(orbit, "_census_python", refuse)
         for cols in roots:
-            assert sink_census(C(cols), Model.SPM, limits) == want[cols], cols
+            census = sink_census(C(cols), Model.SPM, limits)
+            assert plain(census) == naive_census(cols, "spm", limits), cols
         census = sink_census(
             C((300,)), Model.SPM, ExplorationLimits(max_depth=2)
         )
@@ -456,26 +462,26 @@ class TestSinkCensus:
         limits = ExplorationLimits(max_vertices=50)
         census = sink_census(C((30,)), Model.SPM, limits)
         assert census.truncated
-        assert census == _census_python((30,), Model.SPM, limits)
+        assert plain(census) == naive_census((30,), "spm", limits)
 
     def test_array_lane_matches_python_lane_on_small_roots(self):
-        # the visited-set lane relies on the dynamics alone, so agreement
-        # on every small root pins down the array lane's canonical-parent
-        # rule: no shape emitted twice, none missed
+        # the plain visited-set oracle relies on the dynamics alone, so
+        # agreement on every small root pins down the array lane's
+        # canonical-parent rule: no shape emitted twice, none missed
         limits = ExplorationLimits()
         for n in range(1, 15):
             for cols in compositions(n):
                 if len(cols) <= 4:
-                    want = _census_python(cols, Model.SPM, limits)
-                    assert _census_spm_array(cols, limits) == want, cols
+                    want = naive_census(cols, "spm", limits)
+                    assert plain(_census_spm_array(cols, limits)) == want, cols
 
     @pytest.mark.parametrize("max_vertices", [1, 50, 1000])
     @pytest.mark.parametrize("max_depth", [None, 0, 3, 40])
     def test_array_lane_matches_python_lane_under_limits(self, max_vertices, max_depth):
         limits = ExplorationLimits(max_vertices=max_vertices, max_depth=max_depth)
         for cols in [(30,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
-            want = _census_python(cols, Model.SPM, limits)
-            assert _census_spm_array(cols, limits) == want, cols
+            want = naive_census(cols, "spm", limits)
+            assert plain(_census_spm_array(cols, limits)) == want, cols
 
     def test_sspm_array_lane_matches_python_lane_on_small_roots(self):
         # every shape recurs through the sorted key set, never the rows,
@@ -485,8 +491,8 @@ class TestSinkCensus:
         for n in range(1, 15):
             for cols in compositions(n):
                 if len(cols) <= 4:
-                    want = _census_python(cols, Model.SSPM, limits)
-                    assert _census_sspm_array(cols, limits) == want, cols
+                    want = naive_census(cols, "sspm", limits)
+                    assert plain(_census_sspm_array(cols, limits)) == want, cols
 
     @pytest.mark.parametrize("max_vertices", [1, 50, 1000])
     @pytest.mark.parametrize("max_depth", [None, 0, 3, 40])
@@ -495,27 +501,20 @@ class TestSinkCensus:
     ):
         limits = ExplorationLimits(max_vertices=max_vertices, max_depth=max_depth)
         for cols in [(8,), (20,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
-            want = _census_python(cols, Model.SSPM, limits)
-            assert _census_sspm_array(cols, limits) == want, cols
+            want = naive_census(cols, "sspm", limits)
+            assert plain(_census_sspm_array(cols, limits)) == want, cols
 
     @pytest.mark.parametrize(
         "limits", [ExplorationLimits(max_vertices=2000), ExplorationLimits(max_depth=5)]
     )
-    def test_sspm_lane_gate_is_the_64_bit_key(self, limits, monkeypatch):
-        # (64) sets the key's top bit on its first move; (65) would need a
-        # 65th bit, so it must take the visited-set lane
-        want64 = _census_python((64,), Model.SSPM, limits)
-        want65 = _census_python((65,), Model.SSPM, limits)
-
-        def refuse(*args):
-            raise AssertionError("wrong census lane")
-
-        with monkeypatch.context() as m:
-            m.setattr(orbit, "_census_python", refuse)
-            assert sink_census(C((64,)), Model.SSPM, limits) == want64
-        with monkeypatch.context() as m:
-            m.setattr(orbit, "_census_sspm_array", refuse)
-            assert sink_census(C((65,)), Model.SSPM, limits) == want65
+    def test_sspm_key_crosses_word_boundaries(self, limits):
+        # a key has one bit per interior partial sum, 64 to a word: (64)
+        # and (65) are the last one-word roots and (66) the first two-word
+        # one, and from (66) depth 2 moves a grain between sums 64 and 65,
+        # whose bits sit in different words
+        for cols in [(64,), (65,), (66,), (129,), (130,), (64, 2)]:
+            census = sink_census(C(cols), Model.SSPM, limits)
+            assert plain(census) == naive_census(cols, "sspm", limits), cols
 
     def test_sspm_sinks_are_the_fixed_point_templates(self):
         # the dynamics route and the template route, shape for shape

@@ -138,6 +138,23 @@ class TestPlateausAndCliffs:
         assert cliffs(C((1, 2, 1))) == ()
         assert cliffs(C((4, 1, 4)), 2, 3) == (2,)
 
+    @pytest.mark.parametrize("fn", [is_crazed, plateau_spans, cliffs])
+    @pytest.mark.parametrize(
+        "lo, hi", [(0, 3), (0, None), (1, -1), (3, 1), (1, 4), (5, None), (5, 4)]
+    )
+    def test_bad_window_is_refused(self, fn, lo, hi):
+        # a window may start from column 1 to one past the last, and end
+        # at most at the last; lo = 0 would read the last column as cols[-1]
+        shown = 3 if hi is None else hi
+        with pytest.raises(IndexError, match=rf"window {lo}\.\.{shown} out of range for width 3"):
+            fn(C((5, 1, 3)), lo, hi)
+
+    @pytest.mark.parametrize("fn", [is_crazed, plateau_spans, cliffs])
+    def test_empty_window_at_either_end(self, fn):
+        empty = True if fn is is_crazed else ()
+        for lo, hi in ((1, 0), (4, 3), (4, None)):
+            assert fn(C((5, 1, 3)), lo, hi) == empty
+
 
 class TestHasCrazedLR:
     def test_single_column_splits_at_zero(self):
