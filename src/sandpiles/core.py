@@ -74,14 +74,16 @@ class Configuration:
 
     @classmethod
     def _trusted(cls, cols: tuple[int, ...]) -> "Configuration":
-        # Skips the checks above, for enumerate_fixed_points alone: its
-        # tuples are trimmed positive ints by construction, and the
-        # benchmark's sqrt_law workload builds 38,019 of them (up to 78
-        # columns wide) for n <= 1500.  Wrapping those takes 0.03 s this
-        # way and 0.16-0.19 s through the checks (best of 11, 2 vCPU,
-        # Python 3.11), while building their tuples from the flank tables
-        # takes 0.05 s and a whole sqrt_law pass about 0.2 s.  A C-level
-        # check (the set of height types) was slower still on those widths.
+        # Skips the checks above, for two callers whose tuples are trimmed
+        # positive plain ints by construction.  enumerate_fixed_points
+        # concatenates flank tables built from range(); the benchmark's
+        # sqrt_law workload wraps 38,019 of them (up to 78 columns wide)
+        # for n <= 1500, in 0.03 s this way against 0.16-0.19 s through
+        # the checks (best of 11, 2 vCPU, Python 3.11).  orbit.build wraps
+        # the root's checked columns and _fire's children, and a fired
+        # column keeps at least 1 grain while its neighbour gains one, so
+        # no child has a zero or a non-int height.  A C-level check (the
+        # set of height types) was slower still on those widths.
         c = object.__new__(cls)
         object.__setattr__(c, "columns", cols)
         return c
@@ -111,7 +113,7 @@ class Configuration:
         return iter(self.columns)
 
     def __str__(self) -> str:
-        return ",".join(str(h) for h in self.columns)
+        return ",".join(map(str, self.columns))
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,14 @@ class Move:
 
     direction: Direction
     index: int
+
+    def __post_init__(self) -> None:
+        # "right" and "left" become their Direction; anything else raises
+        # ValueError here rather than later, inside apply_move.
+        if type(self.direction) is not Direction or type(self.index) is not int:
+            object.__setattr__(self, "direction", Direction(self.direction))
+            if type(self.index) is not int:
+                raise TypeError(f"move index must be int, got {self.index!r}")
 
     def __str__(self) -> str:
         return f"{self.direction.value}@{self.index}"
@@ -135,12 +145,14 @@ def slope(c: Configuration, i: int, direction: Direction) -> int:
 
     Rightward: c_i minus the height of the right neighbour (0 past the
     edge).  Leftward: c_i minus the left neighbour.  The move at (i,
-    direction) is enabled exactly when this is at least 2.
+    direction) is enabled exactly when this is at least 2.  The direction
+    may also be given by its value, "right" or "left"; anything else
+    raises ValueError.
     """
     if not 1 <= i <= c.width:
         raise IndexError(f"column {i} out of range 1..{c.width}")
     here = c.columns[i - 1]
-    if direction is Direction.RIGHT:
+    if Direction(direction) is Direction.RIGHT:
         return here - (c.columns[i] if i < c.width else 0)
     return here - (c.columns[i - 2] if i > 1 else 0)
 
@@ -225,7 +237,8 @@ def energy(c: Configuration) -> int:
     h-1).  Among shapes with n grains the single column is the unique
     maximum, at n(n+1)/2.
     """
-    return sum(m * (m + 1) // 2 for m in c.columns)
+    # every m(m+1) is even, so halving the total is exact
+    return sum([m * (m + 1) for m in c.columns]) // 2
 
 
 def is_fixed_point(c: Configuration, model: Model) -> bool:

@@ -74,12 +74,11 @@ import numpy as np
 
 from .core import Configuration, Model, _fire, energy
 from .structure import (
+    _split_cuts,
     enumerate_fixed_points,
-    lr_splits,
     spm_fixed_point,
     spm_member,
     sspm_member,
-    top,
 )
 
 
@@ -198,16 +197,17 @@ def build(
             depths.append(depth + 1)
         frontier = fresh
         depth += 1
-    edges = tuple(
-        (u, v)
-        for u, kids in enumerate(children)
-        for v in sorted(intern[t] for t in kids if t in intern)
-    )
+    # children still tells sinks apart, so the children a limit kept out
+    # of the graph are dropped from a copy
+    kept = [kids & intern.keys() for kids in children] if truncated else children
+    edges = [(u, v) for u, kids in enumerate(kept) for v in sorted(map(intern.get, kids))]
     return OrbitGraph(
         model=model,
         root=root,
-        vertices=tuple(Configuration(t) for t in verts),
-        edges=edges,
+        # the root's columns passed the checks, and _fire's children are
+        # trimmed positive ints (see Configuration._trusted)
+        vertices=tuple(map(Configuration._trusted, verts)),
+        edges=tuple(edges),
         depths=tuple(depths),
         sink_ids=tuple(u for u, kids in enumerate(children) if not kids),
         truncated=truncated,
@@ -315,6 +315,12 @@ class VerificationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
+def _top_width(cols: tuple[int, ...]) -> int:
+    # structure.top(c).size: from the first to the last maximal column
+    mx = max(cols)
+    return len(cols) - cols[::-1].index(mx) - cols.index(mx)
+
+
 def verify(g: OrbitGraph) -> VerificationReport:
     """Run the structural checks a correctly built orbit graph must pass.
 
@@ -354,7 +360,7 @@ def verify(g: OrbitGraph) -> VerificationReport:
             checks.append(CheckResult(name, "skipped", skip))
         return VerificationReport(tuple(checks))
 
-    witness = next((v for v in g.vertices if not lr_splits(v)), None)
+    witness = next((v for v in g.vertices if not _split_cuts(v.columns)), None)
     checks.append(
         CheckResult("lr-decomposable", "pass")
         if witness is None
@@ -370,7 +376,7 @@ def verify(g: OrbitGraph) -> VerificationReport:
     )
 
     bound = 4 if g.model is Model.SSPM else 2
-    witness = next((v for v in g.vertices if top(v).size > bound), None)
+    witness = next((v for v in g.vertices if _top_width(v.columns) > bound), None)
     checks.append(
         CheckResult("top-width", "pass")
         if witness is None
@@ -404,20 +410,21 @@ def export(g: OrbitGraph, fmt: str) -> bytes:
     """
     kind = fmt.strip().lower()
     if kind == "json":
+        # tuples encode as JSON arrays, so nothing is copied into lists
         doc = {
             "model": g.model.name,
-            "root": list(g.root.columns),
+            "root": g.root.columns,
             "truncated": g.truncated,
-            "vertices": [list(v.columns) for v in g.vertices],
-            "edges": [list(e) for e in g.edges],
-            "sinks": list(g.sink_ids),
+            "vertices": [v.columns for v in g.vertices],
+            "edges": g.edges,
+            "sinks": g.sink_ids,
         }
         return json.dumps(doc, separators=(",", ":")).encode("ascii")
     if kind == "dot":
         names = [f'"{v}"' for v in g.vertices]
         lines = ["digraph og {"]
-        lines.extend(f"  {name};" for name in names)
-        lines.extend(f"  {names[u]} -> {names[v]};" for u, v in g.edges)
+        lines += [f"  {name};" for name in names]
+        lines += [f"  {names[u]} -> {names[v]};" for u, v in g.edges]
         lines.append("}")
         return ("\n".join(lines) + "\n").encode("ascii")
     raise ValueError(f"unsupported export format: {fmt!r}")

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterator
 
 from .core import Configuration
 
@@ -90,17 +89,6 @@ def top(c: Configuration) -> TopSet:
     return TopSet(lo, hi, contiguous)
 
 
-def _runs(cols: tuple[int, ...], a: int, b: int) -> Iterator[tuple[int, int]]:
-    # Maximal equal-height runs inside the half-open 0-based window [a, b).
-    i = a
-    while i < b:
-        j = i + 1
-        while j < b and cols[j] == cols[i]:
-            j += 1
-        yield i, j - i
-        i = j
-
-
 def _window(cols: tuple[int, ...], lo: int, hi: int | None) -> tuple[int, int]:
     # Columns lo..hi (1-based, inclusive; hi None for the last column) as
     # the half-open 0-based range [lo - 1, hi).  An empty window, hi =
@@ -113,6 +101,23 @@ def _window(cols: tuple[int, ...], lo: int, hi: int | None) -> tuple[int, int]:
     return lo - 1, hi
 
 
+def _crazed_prefix(cols: tuple[int, ...]) -> int:
+    # The length of the longest crazed prefix of cols, in one pass over
+    # adjacent pairs.  A plateau is an equal pair and a cliff a pair at
+    # least 2 apart; the scan stops at the first plateau with no cliff
+    # since the one before it.  A run of three equal heights is two
+    # plateaus with nothing between them, so it stops there too.
+    armed = True  # no plateau since the last cliff, or none yet
+    for i, (x, y) in enumerate(zip(cols, cols[1:])):
+        if x == y:
+            if not armed:
+                return i + 1
+            armed = False
+        elif not -2 < x - y < 2:
+            armed = True
+    return len(cols)
+
+
 def is_crazed(c: Configuration, lo: int = 1, hi: int | None = None) -> bool:
     """Check the plateau discipline on columns lo..hi (1-based, inclusive).
 
@@ -120,22 +125,8 @@ def is_crazed(c: Configuration, lo: int = 1, hi: int | None = None) -> bool:
     two plateaus (adjacent equal pairs) have a cliff, a height jump of at
     least 2, strictly between them.  An empty window is vacuously crazed.
     """
-    cols = c.columns
-    a, b = _window(cols, lo, hi)
-    seen_plateau = False
-    cliff_since = True
-    for start, length in _runs(cols, a, b):
-        if length >= 3:
-            return False
-        if length == 2:
-            if seen_plateau and not cliff_since:
-                return False
-            seen_plateau = True
-            cliff_since = False
-        nxt = start + length
-        if nxt < b and abs(cols[nxt] - cols[nxt - 1]) >= 2:
-            cliff_since = True
-    return True
+    a, b = _window(c.columns, lo, hi)
+    return _crazed_prefix(c.columns[a:b]) == b - a
 
 
 def plateau_spans(
@@ -144,11 +135,14 @@ def plateau_spans(
     """Maximal equal-height runs of length >= 2 inside a window, as
     (first, last) index pairs, 1-based."""
     cols = c.columns
-    return tuple(
-        (start + 1, start + length)
-        for start, length in _runs(cols, *_window(cols, lo, hi))
-        if length >= 2
-    )
+    a, b = _window(cols, lo, hi)
+    spans: list[tuple[int, int]] = []
+    for i in range(a + 1, b):
+        if cols[i] == cols[i - 1]:
+            # equal columns i and i + 1, 1-based: extend a run ending at i
+            first = spans.pop()[0] if spans and spans[-1][1] == i else i
+            spans.append((first, i + 1))
+    return tuple(spans)
 
 
 def cliffs(c: Configuration, lo: int = 1, hi: int | None = None) -> tuple[int, ...]:
@@ -170,9 +164,7 @@ def _split_cuts(cols: tuple[int, ...]) -> tuple[int, ...]:
     while noninc_from > 0 and cols[noninc_from - 1] >= cols[noninc_from]:
         noninc_from -= 1
     # suffix [t+1, k] is non-increasing for every t >= noninc_from
-    return tuple(
-        t for t in range(k + 1) if t <= nondec_upto + 1 and t >= noninc_from
-    )
+    return tuple(range(noninc_from, nondec_upto + 2))
 
 
 def lr_splits(c: Configuration) -> tuple[LRSplit, ...]:
@@ -192,11 +184,18 @@ def has_crazed_lr(c: Configuration) -> LRSplit | None:
     membership in the orbit of the single column with the same grain
     count under the symmetric rules.
     """
-    k = c.width
-    for t in _split_cuts(c.columns):
-        if is_crazed(c, 1, t) and is_crazed(c, t + 1, k):
-            return LRSplit(t, c.columns[:t], c.columns[t:])
-    return None
+    cols = c.columns
+    cuts = _split_cuts(cols)
+    if not cuts:
+        return None
+    # A window inside a crazed window is crazed, so the prefix [1, t] is
+    # crazed up to some t and the suffix [t+1, k] from some t on: take
+    # the lowest cut whose suffix is crazed, then test its prefix.
+    lo, hi = cuts[0], cuts[-1]
+    t = len(cols) - _crazed_prefix(cols[lo:][::-1])
+    if t > _crazed_prefix(cols[:hi]):
+        return None
+    return LRSplit(t, cols[:t], cols[t:])
 
 
 def _non_increasing(cols: tuple[int, ...]) -> bool:

@@ -93,8 +93,29 @@ class TestGrainsAndSlope:
         with pytest.raises(IndexError):
             apply_move(C((3, 1)), Move(L, 0))
 
+    def test_direction_given_by_value(self):
+        # a plain string used to read as LEFT whatever it said
+        c = C((3, 1))
+        assert slope(c, 1, "right") == slope(c, 1, R) == 2
+        assert slope(c, 1, "left") == slope(c, 1, L) == 3
+        with pytest.raises(ValueError, match="'bogus' is not a valid Direction"):
+            slope(c, 1, "bogus")
+
 
 class TestMoves:
+    def test_move_coerces_its_direction(self):
+        assert Move("right", 1) == Move(R, 1)
+        assert Move("left", 2).direction is L
+        assert apply_move(C((3, 1)), Move("right", 1)) == C((2, 2))
+        # refused when built, not when apply_move formats its error
+        with pytest.raises(ValueError, match="'bogus' is not a valid Direction"):
+            Move("bogus", 1)
+
+    def test_move_index_must_be_an_int(self):
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(TypeError, match="move index must be int"):
+                Move(R, bad)
+
     def test_enabled_moves_examples(self):
         assert enabled_moves(C((8,)), Model.SSPM) == {Move(R, 1), Move(L, 1)}
         assert enabled_moves(C((1, 1)), Model.SSPM) == frozenset()

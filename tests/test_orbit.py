@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -122,6 +123,36 @@ class TestDeterminism:
         assert a == b
         assert export(a, "json") == export(b, "json")
         assert export(a, "dot") == export(b, "dot")
+
+
+# sha256 over the concatenated exports of each family of builds, recorded
+# before export stopped copying tuples into lists and str() into names
+EXPORT_FAMILIES = {
+    "sspm_columns": lambda: [build(C((n,)), Model.SSPM) for n in range(1, 15)],
+    "spm_columns": lambda: [build(C((n,)), Model.SPM) for n in range(1, 13)],
+    "wide_roots": lambda: [
+        build(C(r), m) for r in [(5, 1, 5), (3, 4), (2, 1, 3)] for m in (Model.SPM, Model.SSPM)
+    ],
+    "capped": lambda: [build(C((10,)), Model.SSPM, ExplorationLimits(max_vertices=50))],
+}
+EXPORT_DIGESTS = {
+    ("sspm_columns", "json"): "545814176262fe3dd63c644f5d58adbc52c8bd111724f174f3bf4a4b5743e6dd",
+    ("sspm_columns", "dot"): "e842a24b487de82bcc3307f51a4f9d3196be5a99443e61bdff528b7fdb5afee2",
+    ("spm_columns", "json"): "5e8d55f9a745e7818aadd992e7916c285498bed12b5fc6a71135c6e4b1d7b65f",
+    ("spm_columns", "dot"): "6749ce845da87c2fce72742b4db96952aba3d6f8f784fc116bc2cb9b49d2bd12",
+    ("wide_roots", "json"): "7aa6aa1e1adb9739d5785ae047cbf828fc934541f7b3d33dd3417a2c980b0e6b",
+    ("wide_roots", "dot"): "a0fad829af3195a847529d105c7fc5fcd53cc3141d7e7ddc642c2dd56b7ef4b6",
+    ("capped", "json"): "6404444996a7d21d9a8c5b1f197aec59a2f1d6ff306f671fd5ee3cdfec6bbfdd",
+    ("capped", "dot"): "8825f9e256ee9b1ee53f18efa3ffaf15cf426d577d08a543c3b79888742b6baf",
+}
+
+
+@pytest.mark.parametrize("family, fmt", sorted(EXPORT_DIGESTS))
+def test_export_bytes_match_the_recorded_digests(family, fmt):
+    h = hashlib.sha256()
+    for g in EXPORT_FAMILIES[family]():
+        h.update(export(g, fmt))
+    assert h.hexdigest() == EXPORT_DIGESTS[family, fmt]
 
 
 class TestLevels:
@@ -275,6 +306,57 @@ class TestVerify:
         with pytest.raises(ValueError, match="contains a cycle"):
             transient_stats(g)
         assert not lattice_check(g)
+
+    @staticmethod
+    def fabricated(model, root, vertices, sink_ids):
+        # an edgeless graph grown from a single column, so that energy and
+        # acyclicity pass and the shape checks judge vertices alone
+        return OrbitGraph(
+            model=model,
+            root=C(root),
+            vertices=tuple(C(v) for v in vertices),
+            edges=(),
+            depths=(0,) * len(vertices),
+            sink_ids=sink_ids,
+            truncated=False,
+        )
+
+    def test_valleys_fail_with_the_first_in_id_order(self):
+        # (3,1,3) comes before (2,1,2) by id but after it by shape
+        g = self.fabricated(Model.SSPM, (5,), [(5,), (3, 1, 3), (2, 1, 2), (1, 2, 1, 1)], (3,))
+        assert verify(g).checks == (
+            CheckResult("energy-decrease", "pass"),
+            CheckResult("acyclic", "pass"),
+            CheckResult("lr-decomposable", "fail", "(3,1,3) has no monotone split"),
+            CheckResult("membership", "fail", "(3,1,3) fails the predicate"),
+            CheckResult("top-width", "pass"),
+            CheckResult("sink-census", "fail", "found 1 sinks, expected 2"),
+        )
+
+    def test_wide_tops_fail_with_the_first_in_id_order(self):
+        g = self.fabricated(
+            Model.SSPM,
+            (5,),
+            [(5,), (1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 2, 1), (1, 2, 1, 1)],
+            (3, 4),
+        )
+        assert verify(g).checks[2:] == (
+            CheckResult("lr-decomposable", "pass"),
+            CheckResult("membership", "fail", "(1,1,1,1,1,1) fails the predicate"),
+            CheckResult("top-width", "fail", "(1,1,1,1,1,1) has top wider than 4"),
+            CheckResult("sink-census", "pass"),
+        )
+
+    def test_spm_checks_use_the_rightward_theory(self):
+        # (1,2) splits but is not non-increasing; (1,1,1) is a 3-wide top
+        # and a plateau run, and the one SPM sink of 3 grains is (2,1)
+        g = self.fabricated(Model.SPM, (3,), [(3,), (1, 2), (1, 1, 1)], (2,))
+        assert verify(g).checks[2:] == (
+            CheckResult("lr-decomposable", "pass"),
+            CheckResult("membership", "fail", "(1,2) fails the predicate"),
+            CheckResult("top-width", "fail", "(1,1,1) has top wider than 2"),
+            CheckResult("sink-census", "fail", "found 1 sinks, expected 1"),
+        )
 
     def test_truncated_graph_skips_reachability_checks(self):
         g = build(C((8,)), Model.SSPM, ExplorationLimits(max_vertices=3))
@@ -550,6 +632,27 @@ def test_build_and_census_match_naive_bfs_on_multi_column_roots(cols, model):
     assert not census.truncated
     assert census.vertex_count == len(verts)
     assert {s.columns for s in census.sinks} == dead
+
+
+# 1-4 columns, at most 14 grains, under no limit, a vertex cap or a depth cap
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(1, 14), min_size=1, max_size=4).map(tuple).filter(lambda t: sum(t) <= 14),
+    st.sampled_from([Model.SPM, Model.SSPM]),
+    st.one_of(
+        st.none(),
+        st.builds(ExplorationLimits, max_vertices=st.integers(1, 300)),
+        st.builds(ExplorationLimits, max_depth=st.integers(0, 8)),
+    ),
+)
+def test_build_interns_only_shapes_the_constructor_accepts(cols, model, limits):
+    # build wraps its vertices with Configuration._trusted, skipping the
+    # checks; each must be a tuple of plain ints that the checked
+    # constructor takes unchanged
+    for v in build(C(cols), model, limits).vertices:
+        assert type(v.columns) is tuple
+        assert all(type(h) is int for h in v.columns)
+        assert v == C(v.columns)
 
 
 def test_energy_decreases_along_every_edge():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import groupby
 from math import isqrt
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from sandpiles import (
     Configuration,
+    LRSplit,
     Model,
     cliffs,
     enumerate_fixed_points,
@@ -138,6 +140,20 @@ class TestPlateausAndCliffs:
         assert cliffs(C((1, 2, 1))) == ()
         assert cliffs(C((4, 1, 4)), 2, 3) == (2,)
 
+    @given(shapes, st.data())
+    def test_plateau_spans_against_runs(self, c, data):
+        k = c.width
+        lo = data.draw(st.integers(1, k + 1))
+        hi = data.draw(st.integers(lo - 1, k))
+        # maximal runs of equal heights inside the window, from groupby
+        want, first = [], lo
+        for _, run in groupby(c.columns[lo - 1 : hi]):
+            length = len(list(run))
+            if length >= 2:
+                want.append((first, first + length - 1))
+            first += length
+        assert plateau_spans(c, lo, hi) == tuple(want)
+
     @pytest.mark.parametrize("fn", [is_crazed, plateau_spans, cliffs])
     @pytest.mark.parametrize(
         "lo, hi", [(0, 3), (0, None), (1, -1), (3, 1), (1, 4), (5, None), (5, 4)]
@@ -173,6 +189,28 @@ class TestHasCrazedLR:
         assert all(a <= b for a, b in zip(s.left, s.left[1:]))
         assert all(a >= b for a, b in zip(s.right, s.right[1:]))
         assert is_crazed(c, 1, s.t) and is_crazed(c, s.t + 1, c.width)
+
+    @settings(max_examples=500)
+    @given(shapes)
+    def test_lowest_cut_against_definition(self, c):
+        # every cut tried in turn, each zone judged by the pair-position oracle
+        cols = c.columns
+        want = next(
+            (
+                t
+                for t in range(len(cols) + 1)
+                if all(a <= b for a, b in zip(cols[:t], cols[1:t]))
+                and all(a >= b for a, b in zip(cols[t:], cols[t + 1 :]))
+                and naive_crazed(cols[:t])
+                and naive_crazed(cols[t:])
+            ),
+            None,
+        )
+        s = has_crazed_lr(c)
+        if want is None:
+            assert s is None
+        else:
+            assert s == LRSplit(want, cols[:want], cols[want:])
 
 
 class TestMembership:
