@@ -101,10 +101,11 @@ def count_table(
             searched = TRUNCATED if swept.truncated else len(swept.sinks)
             if swept.truncated and cut is None:
                 cut = (n, swept)
-        rows.append((n, census.single_top, census.wide_top, census.total, searched))
-        if census.total != isqrt(n) or census.total != census.single_top + census.wide_top:
+        total = census.total
+        rows.append((n, census.single_top, census.wide_top, total, searched))
+        if total != isqrt(n) or total != census.single_top + census.wide_top:
             ok = False
-        if isinstance(searched, int) and searched != census.total:
+        if isinstance(searched, int) and searched != total:
             ok = False
     return rows, ok, cut
 

@@ -55,12 +55,22 @@ key is its parent's key XOR flip[t], where t = S_j or S_j - 1 is the
 lower of the two sums, flip[t] = bit[t] XOR bit[t + 1], and bit[0] =
 bit[n] = 0 for the borders past either end.  The flip table has n rows
 of k words, n * ceil((n - 1) / 64) words in all: 2 MB at 4,096 grains
-and 12 MB at 10^4, and the bit table it is made from is as large.  Each
-level computes its children's keys without building a row, sorts them
-(as one uint64 when k = 1, as one opaque 8k-byte item otherwise), drops
-the keys already seen, and only then copies and moves the surviving
-rows.  Rows hold heights in the narrowest signed int that holds n, so
-every SSPM root takes this sweep too.
+and 12 MB at 10^4, and the bit table it is made from is as large.
+
+The rows hold these partial sums too: (0, P_0, ..., P_{W-1}), with P_j
+the grains in columns 0..j of W columns whose first and last are kept
+empty, in the narrowest signed int that holds n, so every SSPM root
+takes this sweep too.  One difference
+of a row gives its heights and a second its slopes, the slope across
+border j standing at P_j, so a firing's flat index reads both its slope
+and its t straight from the level.  Each level computes its children's
+keys without building a row, sorts them (as one uint64 when k = 1, as
+one opaque 8k-byte item otherwise), drops the keys repeated within the
+level and then those already seen, and only then copies the surviving
+rows and adds the step, +1 or -1, to the one entry P_j of each.  The
+empty margins let every row keep its place: a child that puts a grain
+in the first or the last column widens the whole level by 8 columns on
+that side, copies of the edge entry, 0 or n.
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -542,47 +553,59 @@ def _census_sspm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> Sink
     # One key word sorts as itself; wider keys sort as one opaque item,
     # which is a consistent total order, all that dedupe needs.
     kt = np.uint64 if k == 1 else np.dtype((np.void, 8 * k))
-    key = np.bitwise_or.reduce(bits[np.cumsum(cols)]).view(kt)
-    seen = key  # every key visited so far, sorted
     # A grain crossing a border moves its partial sum between t and t + 1,
     # which flips flip[t]: two bits, in two words only where t is a
     # multiple of 64.
     flip = bits[:-1] ^ bits[1:]
     dtype = _int_type(n)  # holds every height, slope and partial sum
+    # A row is (0, P_0, ..., P_{W-1}): a constant 0, then the partial sums
+    # of W columns whose first and last are kept empty.
+    a = np.array([(0, 0, *accumulate(cols), n)], dtype=dtype)
     width = len(cols) + 2
-    width += (-width) % 8
-    # Rows hold heights left-aligned behind one zero guard column.
-    a = np.zeros((1, width), dtype=dtype)
-    a[0, 1 : len(cols) + 1] = cols
+    key = np.bitwise_or.reduce(bits.take(a[0], axis=0)).view(kt)
+    seen = key  # every key visited so far, sorted
     depth = 0
     truncated = False
-    found: list[tuple[int, ...]] = []
+    found: list[list[int]] = []  # the heights of the sinks, margins too
     while True:
-        d = a[:, 1:] - a[:, :-1]  # d[:, j] is the slope across border j
-        fire = np.abs(d) >= 2
-        movable = fire.any(axis=1)
-        if not movable.all():
-            for row in a[~movable]:
-                found.append(tuple(int(x) for x in row if x))
-        flat = np.flatnonzero(fire)
+        # One difference gives the heights and a second the slopes: d[r, i]
+        # is the second difference of row r at entry i, for P_j the slope
+        # across border j.  Both run over the level as one flat array, and
+        # the two entries per row where it steps from one row to the next,
+        # the constant and P_{W-1}, are zeroed.
+        x = a.ravel()
+        h = x[1:] - x[:-1]
+        d = np.empty_like(a)
+        np.subtract(h[1:], h[:-1], out=d.ravel()[1:-1])
+        d[:, 0] = 0
+        d[:, -1] = 0
+        flat = (np.abs(d) >= 2).ravel().nonzero()[0]  # flat indices into a
+        rows, col = np.divmod(flat, width + 1)
+        # rows is sorted, so a row that cannot move is a gap in it
+        if np.count_nonzero(rows[1:] != rows[:-1]) + (len(rows) > 0) < len(a):
+            stuck = np.ones(len(a), dtype=bool)
+            stuck.put(rows, False)
+            found += np.diff(a.compress(stuck, axis=0)).tolist()
         if not len(flat):
             break
-        # A grain crossing border j moves the partial sum s there by one:
-        # up when it moves left (d > 0), down when it moves right.  So
-        # the lower of the two sums is s + (step >> 1), step >> 1 being 0
-        # or -1.
-        step = np.sign(d.ravel()[flat])
-        s = np.cumsum(a[:, :-1], axis=1, dtype=dtype).ravel()[flat]
+        # A grain crossing border j changes P_j alone, by one: up when it
+        # moves left (d > 0), down when it moves right.  So the lower of
+        # the two sums is P_j + (step >> 1), step >> 1 being 0 or -1.
+        step = np.sign(d.ravel().take(flat))
+        t = x.take(flat) + (step >> 1)
         words = key.view(np.uint64).reshape(-1, k)
-        kid_key = (words[flat // (width - 1)] ^ flip[s + (step >> 1)]).view(kt).ravel()
-        # Dedupe the level; any child of a key will do as its row.
-        pick = np.argsort(kid_key)
-        kid_key = kid_key[pick]
+        kid_key = (words.take(rows, axis=0) ^ flip.take(t, axis=0)).view(kt).ravel()
+        # Dedupe the level, then drop the keys already seen; any child of
+        # a key will do as its row.  Searching seen for the level's
+        # distinct keys only, about a third of its children, is cheaper
+        # than one mask over all of them.
+        pick = kid_key.argsort()
+        kid_key = kid_key.take(pick)
         first = np.concatenate(([True], kid_key[1:] != kid_key[:-1]))
-        key, pick = kid_key[first], pick[first]
-        at = np.minimum(np.searchsorted(seen, key), len(seen) - 1)
-        fresh = seen[at] != key
-        key, pick = key[fresh], pick[fresh]
+        key = kid_key.compress(first)
+        fresh = seen.take(seen.searchsorted(key), mode="clip") != key
+        key = key.compress(fresh)
+        pick = pick.compress(first).compress(fresh)
         if not len(key):
             break
         if limits.max_depth is not None and depth == limits.max_depth:
@@ -593,27 +616,22 @@ def _census_sspm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> Sink
             break
         seen = np.concatenate((seen, key))
         seen.sort(kind="stable")  # a merge of two sorted runs
-        rows, j = np.divmod(flat[pick], width - 1)
-        step = step[pick]
-        kids = a[rows]
-        cell = np.arange(len(rows)) * width + j
-        flat_kids = kids.ravel()
-        flat_kids[cell] += step
-        flat_kids[cell + 1] -= step
-        guard = np.flatnonzero(j == 0)
-        if len(guard):
-            # A grain landed on the guard column; move the row right.
-            kids[guard, 1:] = kids[guard, :-1]
-            kids[guard, 0] = 0
-        if kids[:, -1].any():
-            # Keep an empty last column so every right edge can fire.
-            kids = np.pad(kids, ((0, 0), (0, 8)))
-            width += 8
+        rows = rows.take(pick)
+        kids = a.take(rows, axis=0)
+        cell = col.take(pick) + np.arange(0, len(kids) * (width + 1), width + 1)
+        kids.put(cell, kids.take(cell) + step.take(pick))
+        # A child with a grain in the first or the last column gets 8 more
+        # empty columns on that side: copies of the edge entry, 0 or n.
+        left = 8 if np.count_nonzero(kids[:, 1]) else 0
+        right = 8 if np.count_nonzero(kids[:, -2] != n) else 0
+        if left or right:
+            kids = kids.take(np.arange(-left, width + 1 + right), axis=1, mode="clip")
+            width += left + right
         a = kids
         depth += 1
     return SinkCensus(
         len(seen),
-        tuple(Configuration(t) for t in sorted(found)),
+        tuple(sorted(map(Configuration, found))),  # which trims the margins
         depth,
         truncated,
     )
@@ -637,7 +655,9 @@ def sink_census(
     * every symmetric root goes through the SSPM array sweep, which keys
       each shape by a mask of its partial sums, in as many 64-bit words
       as the grains need, and dedupes every level against all keys seen
-      so far.
+      so far; its rows hold those partial sums between two empty margin
+      columns, so a move adds +1 or -1 to one entry of a row, and a row
+      is widened only when a child puts a grain in a margin.
 
     The module docstring describes both sweeps.  Results agree with
     build() wherever both fit in memory, which the test suite pins down

@@ -13,8 +13,10 @@ stable shapes, split between those with a one-column top and those with a
 two-column top.  ``enumerate_fixed_points`` materialises them directly
 from staircase templates, never by search, so orbit explorations can be
 checked against an independent route: each shape is a left flank joined
-to a right flank, both taken from tables kept per top height, emitted in
-lexicographic order.
+to a right flank, both taken from tables kept per top height.  Each
+family comes out in lexicographic order, and one family's shapes fit
+whole into a gap of the other's, so the two are merged by slicing, with
+no sort and no comparison.
 """
 
 from __future__ import annotations
@@ -312,16 +314,24 @@ def _family(flanks: Flanks, u: int, skip_bare_left: bool) -> list[tuple[int, ...
 
 def _fixed_point_tuples(n: int) -> list[tuple[int, ...]]:
     p = isqrt(n)
-    shapes = _family(_single_top_flanks(p), n - p * p, False)
+    u = n - p * p
+    single = _family(_single_top_flanks(p), u, False)
     q = (isqrt(4 * n + 1) - 1) // 2
-    if q >= 1:
-        # at v == q, jl = 0 gives 1..q-1,q,q,q,q-1..1, the jl = q shape
-        v = n - q * q - q
-        shapes += _family(_double_top_flanks(q), v, v == q)
-    # one maximal column against two or more: the families never share a
-    # shape, and sorting two ascending runs is one linear merge
-    shapes.sort()
-    return shapes
+    # at v == q, jl = 0 gives 1..q-1,q,q,q,q-1..1, the jl = q shape
+    v = n - q * q - q
+    double = _family(_double_top_flanks(q), v, v == q) if q else []
+    # A shape leaves the staircase 1, 2, 3, ... at index jl, where it
+    # repeats jl, or at its top (index p or q) when jl = 0.  There it is
+    # lower than any shape still on the staircase, so the earlier a shape
+    # leaves, the smaller it is.  q is p or p - 1.  When q == p, v = u - p: the
+    # two-column tops take jl = 1..v and 0 (leaving at index p), and the
+    # one-column tops jl = v+1..p-1 fit between them.  When q == p - 1,
+    # v = u + p: the one-column tops take jl = 1..u and 0 (at index p),
+    # and the two-column tops jl = u+1..q fit between.  No two shapes
+    # leave at the same index, so the merge needs no comparison.
+    if q == p:
+        return double[:v] + single + double[v:]
+    return single[:u] + double + single[u:]
 
 
 def enumerate_fixed_points(n: int) -> tuple[Configuration, ...]:
@@ -331,11 +341,13 @@ def enumerate_fixed_points(n: int) -> tuple[Configuration, ...]:
     The list always has exactly isqrt(n) entries.  Each shape is one
     concatenation of a left and a right flank from per-height tables.
     Each family comes out already in lexicographic order, and the two
-    runs are merged.  One collision remains: when the grains above the
-    two-column-top pyramid number exactly its height q, doubling step q
-    on the right flank alone and on the left flank alone both widen the
-    top to the same three columns.  The right-flank template is skipped,
-    so no duplicate is built and no set is needed.
+    runs are merged without a comparison: one of them fits whole between
+    the last doubled-step shape and the undoubled one of the other (see
+    _fixed_point_tuples).  One collision remains: when the grains above
+    the two-column-top pyramid number exactly its height q, doubling
+    step q on the right flank alone and on the left flank alone both
+    widen the top to the same three columns.  The right-flank template
+    is skipped, so no duplicate is built and no set is needed.
     """
     if n < 1:
         raise ValueError("need at least one grain")

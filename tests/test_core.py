@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +65,30 @@ class TestConfiguration:
             C((1, 2)),
             C((2, 1)),
         ]
+
+    @given(shapes, shapes)
+    def test_slotted_class_keeps_value_semantics(self, c, other):
+        # Configuration is a frozen dataclass with slots, and _trusted sets
+        # its one slot directly; the wrappers it makes must be the values
+        # the checked constructor makes
+        t = c.columns
+        trusted = C._trusted(t)
+        assert trusted == c and hash(trusted) == hash(c) == hash(C(t))
+        assert (trusted < other) == (t < other.columns) == (c < other)
+        assert (trusted <= other) == (t <= other.columns)
+        assert sorted([other, trusted]) == sorted([other, c])
+        for copied in (pickle.loads(pickle.dumps(trusted)), copy.deepcopy(trusted)):
+            assert type(copied) is C and copied == c and copied.columns == t
+        assert not hasattr(trusted, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trusted.columns = (1,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del trusted.columns
+        # no other attribute can be set either: there is no slot for it,
+        # and Python 3.11's frozen slotted dataclasses raise TypeError
+        # here rather than FrozenInstanceError
+        with pytest.raises((TypeError, AttributeError)):
+            trusted.extra = 1
 
     def test_str_and_height(self):
         c = C((3, 1))

@@ -567,8 +567,8 @@ class TestSinkCensus:
 
     def test_sspm_array_lane_matches_python_lane_on_small_roots(self):
         # every shape recurs through the sorted key set, never the rows,
-        # so agreement here pins down the key, its XOR update, the guard
-        # shift and the global dedupe
+        # so agreement here pins down the key, its XOR update, the margin
+        # columns and the global dedupe
         limits = ExplorationLimits()
         for n in range(1, 15):
             for cols in compositions(n):
@@ -585,6 +585,27 @@ class TestSinkCensus:
         for cols in [(8,), (20,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
             want = naive_census(cols, "sspm", limits)
             assert plain(_census_sspm_array(cols, limits)) == want, cols
+
+    @pytest.mark.parametrize("max_vertices", [3000, 20000])
+    @pytest.mark.parametrize("max_depth", [None, 12])
+    def test_sspm_rows_widen_at_either_margin(self, max_vertices, max_depth):
+        # rows keep an empty first and last column and widen by 8 on the
+        # side a child puts a grain in: every root here reaches a margin
+        # within a few levels, on one side or both, and (126, 1) and
+        # (127) hold int8 rows of partial sums, (128) int16 ones
+        limits = ExplorationLimits(max_vertices=max_vertices, max_depth=max_depth)
+        for cols in [
+            (30,),
+            (1, 29),
+            (29, 1),
+            (1, 1, 1, 1, 40),
+            (40, 1, 1, 1, 1),
+            (126, 1),
+            (127,),
+            (128,),
+        ]:
+            census = sink_census(C(cols), Model.SSPM, limits)
+            assert plain(census) == naive_census(cols, "sspm", limits), cols
 
     @pytest.mark.parametrize(
         "limits", [ExplorationLimits(max_vertices=2000), ExplorationLimits(max_depth=5)]

@@ -8,7 +8,7 @@ from itertools import groupby
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sandpiles import (
@@ -306,8 +306,25 @@ class TestEnumeration:
         # every n <= 3000 covers the v == q collision of the two-column-top
         # templates, both tapers of the counts and the p/q boundaries
         for n in range(1, 3001):
-            cols = [f.columns for f in enumerate_fixed_points(n)]
+            fps = enumerate_fixed_points(n)
+            cols = [f.columns for f in fps]
             assert all(a < b for a, b in zip(cols, cols[1:])), n
+            assert list(fps) == sorted(fps), n
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10**6))
+    @example(10**6)  # p * p: q == p - 1 and u == 0
+    @example(999 * 1000)  # q == p and v == 0
+    @example(1000 * 1001 - 1)  # q == p - 1 with the most one-column tops
+    @example(999 * 1001)  # q == p and v == q, the collision
+    def test_merge_order_holds_for_large_n(self, n):
+        # the two families are merged by slicing, with no comparison, so
+        # the order is checked well past the sizes the other tests reach
+        fps = enumerate_fixed_points(n)
+        cols = [f.columns for f in fps]
+        assert len(fps) == isqrt(n)
+        assert all(a < b for a, b in zip(cols, cols[1:]))
+        assert list(fps) == sorted(fps)
 
     def test_call_order_does_not_matter(self):
         # the flank tables are cached per top height; calls that jump
