@@ -32,17 +32,36 @@ with a plain visited-set search on every root of up to 14 grains in up
 to 4 columns.)
 
 The sweep stores each shape in these slope coordinates, as the row
-(-c_0, d_0, ..., d_{W-1}) with c_W = 0 and its last column kept empty.
-Firing column j then adds one fixed vector to the row, e_j - 2 e_{j+1} +
-e_{j+2}: the j-th row of the path Laplacian, with -c_0 standing in for
-d_{-1}.  A level finds its kept firings as flat indices into one boolean
-array, gathers the parent rows and the move vectors with two ``take``
-calls, and adds them; heights are rebuilt, by a reverse cumulative sum,
-only for the sinks.  A column gains a grain only from a neighbour at
-least 2 higher, so no column ever exceeds the root's tallest, and every
-entry of a row lies in [-max, max] for that tallest column max.  Rows
-are int8 up to a column of 127, int16 up to 32767 and wider beyond, so
-every SPM root takes this sweep.
+(-c_0, d_0 - 2, ..., d_{W-1} - 2) with c_W = 0 and its last column kept
+empty: the slopes offset by -2, -c_0 as it is.  Firing column j then adds
+one fixed vector to the row, e_j - 2 e_{j+1} + e_{j+2}: the j-th row of
+the path Laplacian, with -c_0 standing in for d_{-1}.  A column gains a
+grain only from a neighbour at least 2 higher, so no column ever exceeds
+the root's tallest, max; and no column inside a shape ever empties, so
+every slope lies in [1 - max, max] and every offset slope still fits the
+narrowest signed int that holds max.  Rows are int8 up to a column of
+127, int16 up to 32767, int32 up to 2^31 - 1 and int64 up to 2^63 - 1,
+so every SPM root takes this sweep.  They are kept in the unsigned type
+of the same width, where "column j can fire" reads "entry j + 1 is below
+the sign bit", and "fires with a drop of exactly 2" reads "entry j + 1 is
+below 1".  So the canonical-parent rule is one table of bounds, indexed
+by the entry that fired to make the row: 0 (never) for -c_0 and for the
+columns left of L - 1, 1 for L - 1 and the sign bit for L and right of
+it.  A level is one compare of its rows against the table rows of their
+moves, one flat ``nonzero`` and one ``divmod``, which gives the parent
+row and the move of every kept child; the move indexes the move table,
+and is the next level's table index.  Only firing column W - 2 puts a
+grain in the last column, so the rows widen, by 8 columns, exactly when
+that move is among the level's.
+
+Sinks are read off the last level alone.  Chip-firing is strongly
+convergent (Björner, Lovász & Shor 1991): every maximal firing sequence
+from the root has the same length and ends in the same shape.  So the
+one sink lies on the deepest level, and a complete level with no kept
+move is all sinks: a child of any of its rows would be kept by some row
+of it.  There the heights are rebuilt, by a cumulative sum, and every row
+is checked once more for a firing the table might have hidden; a row
+that can still fire raises a RuntimeError naming the root and the depth.
 
 The SSPM model has no such structure: shapes recur at different depths
 there, so its sweep keeps every shape it has seen and dedupes each level
@@ -77,7 +96,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -460,68 +479,84 @@ def _int_type(top: int) -> type:
     raise OverflowError(f"no numpy integer type holds {top}")
 
 
-def _spm_moves(width: int, dtype: type) -> np.ndarray:
-    # moves[j] fires column j: on the row (-c_0, d_0, ..., d_{W-1}) it
-    # is e_j - 2 e_{j+1} + e_{j+2}, the j-th row of the path Laplacian.
-    # The last column is kept empty and never fires, so the entry cut off
-    # from moves[W-1] is never needed.
-    return (
-        np.eye(width, width + 1, 0, dtype)
-        - 2 * np.eye(width, width + 1, 1, dtype)
-        + np.eye(width, width + 1, 2, dtype)
-    )
+def _spm_tables(width: int, signed: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    # Both tables are unsigned and indexed by a move p, the row entry of
+    # the slope that fired: p = j + 1 fires column j, and p = 0, the -c_0
+    # entry, stands for the root, which no firing made.
+    #
+    # moves[p] fires column p - 1: e_{p-1} - 2 e_p + e_{p+1}, a row of the
+    # path Laplacian.  The last column is kept empty and never fires, so
+    # the entry cut off from moves[W] is never needed.
+    #
+    # keep[p, q] is the bound below which entry q of a row made by move p
+    # is a kept firing.  Slope entries hold d - 2, so 0 keeps nothing, 1
+    # keeps d = 2 only and the sign bit keeps any d >= 2: column q - 1 is
+    # kept when it is at least column p - 1, and with a drop of exactly 2
+    # when it is just left of it.  Entry 0 never fires.
+    p = np.arange(width + 1)[:, None]
+    q = np.arange(width + 1)[None]
+    moves = (q == p - 1) - 2 * (q == p) + (q == p + 1)
+    moves = moves.astype(signed).view(f"u{signed.itemsize}")
+    moves[0] = 0
+    keep = np.zeros_like(moves)
+    keep[q >= p] = 1 << 8 * signed.itemsize - 1
+    keep[q == p - 1] = 1
+    keep[:, 0] = 0
+    return moves, keep
 
 
 def _census_spm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkCensus:
     # Rows start one empty column wider than the root and grow as shapes
-    # reach the edge, so the (W, W+1) move table stays as small as the
-    # shapes the sweep has met.
+    # reach the edge, so the (W+1, W+1) tables stay as small as the shapes
+    # the sweep has met.
     width = len(cols) + 1
     width += (-width) % 8
-    # Every entry of a row lies in [-max(cols), max(cols)]: a column only
-    # gains a grain from a neighbour at least 2 higher, so none ever
-    # exceeds the root's tallest.
-    dtype = _int_type(max(cols))
-    h = np.zeros(width + 2, dtype=dtype)
+    # No column ever exceeds the root's tallest and none inside a shape
+    # ever empties, so -c_0 and every offset slope d - 2 lie in
+    # [-1 - max(cols), max(cols) - 2], which the signed type of max(cols)
+    # holds.  Rows are kept in the unsigned type of that width: sums wrap
+    # alike, and the kept-move compare needs no cast.
+    signed = np.dtype(_int_type(max(cols)))
+    dtype = np.dtype(f"u{signed.itemsize}")
+    h = np.zeros(width + 2, dtype=signed)
     h[1 : len(cols) + 1] = cols
-    a = (h[:-1] - h[1:])[None]  # (-c_0, d_0, ..., d_{W-1}), with c_W = 0
-    moves = _spm_moves(width, dtype)
-    col = np.arange(width, dtype=_int_type(width))
-    last = np.array([-1])  # the column fired to create each row
+    a = h[:-1] - h[1:]  # (-c_0, d_0, ..., d_{W-1}), with c_W = 0
+    a[1:] -= 2  # the slopes offset, -c_0 as it is
+    a = a.view(dtype)[None]
+    moves, keep = _spm_tables(width, signed)
+    last = np.zeros(1, dtype=np.intp)  # the move that made each row
     vertex_count = 0
     depth = 0
     truncated = False
     found: list[tuple[int, ...]] = []
     while True:
         vertex_count += len(a)
-        d = a[:, 1:]
-        fire = d >= 2
-        # OR each row's firing flags eight at a time; a word loop beats a
-        # reduction along an axis this short.
-        movable = reduce(np.bitwise_or, fire.view(np.uint64).T)
-        if np.count_nonzero(movable) < len(a):
-            # Partial sums of the slopes from the right are the heights,
-            # so they fit the row dtype and need no upcast.
-            stuck = d[movable == 0, ::-1].cumsum(axis=1, dtype=dtype)[:, ::-1]
-            for row in stuck:
-                found.append(tuple(int(x) for x in row if x))
-        # Keep the children whose canonical parent is this row: column
-        # i >= last, or i == last - 1 with a drop of exactly 2.  The flags,
-        # viewed as int8, and last are added and compared in col's narrow
-        # type, without a cast to int64.
-        fire &= (d == 2).view(np.int8) + col >= last.astype(col.dtype)[:, None]
-        rows, last = np.divmod(fire.ravel().nonzero()[0], width)
+        kept = a < keep.take(last, axis=0)
+        rows, last = np.divmod(kept.ravel().nonzero()[0], width + 1)
         if not len(rows):
+            # Chip-firing is strongly convergent: every maximal firing
+            # sequence has the same length, so a sink lies on the last
+            # level only, and this level is all sinks.  A row that can
+            # still fire would mean the kept-move table hid a child.
+            level = a.view(signed).copy()
+            level[:, 1:] += 2  # (-c_0, d_0, d_1, ...)
+            if (level[:, 1:] >= 2).any():
+                raise RuntimeError(
+                    f"SPM census of {cols}: a row on the last level, depth {depth}, can still fire"
+                )
+            # whose partial sums are -c_0, -c_1, ...
+            for row in level.cumsum(axis=1, dtype=signed):
+                found.append(tuple(-int(x) for x in row if x))
             break
         kids = a.take(rows, axis=0)
         kids += moves.take(last, axis=0)
-        if kids[:, -1].any():
-            # A shape reached the padded edge; widen so the next level's
-            # rightmost slope is still visible.
-            kids = np.pad(kids, ((0, 0), (0, 8)))
+        # Only firing column W - 2 puts a grain in the last column, which
+        # the rows keep empty; widen so the next level's rightmost slope
+        # is still visible.
+        if last.max() == width - 1:
+            kids = np.pad(kids.view(signed), ((0, 0), (0, 8)), constant_values=-2).view(dtype)
             width += 8
-            moves = _spm_moves(width, dtype)
-            col = np.arange(width, dtype=_int_type(width))
+            moves, keep = _spm_tables(width, signed)
         if limits.max_depth is not None and depth == limits.max_depth:
             truncated = True
             break
@@ -538,8 +573,15 @@ def _census_spm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkC
     )
 
 
-def _census_sspm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkCensus:
-    n = sum(cols)
+# How many empty columns an SSPM census row gains on a side when a child
+# puts a grain in that side's margin column.  The tests set it to 1 to
+# make rows widen often; it is not a setting.
+_SSPM_MARGIN = 8
+
+
+def _sspm_key_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n + 1, k) bit table and the (n, k) flip table of the SSPM keys
+    of n grains, k = max(1, ceil((n - 1) / 64)) uint64 words a key."""
     # bits[s] is the key bit of an interior partial sum 0 < s < n: bit
     # (s - 1) % 64 of word (s - 1) // 64.  A shape's key is the OR of
     # bits[s] over all its column borders, so the borders past either end
@@ -550,13 +592,20 @@ def _census_sspm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> Sink
     bits[inner, (inner - 1) // 64] = np.left_shift(
         np.uint64(1), ((inner - 1) % 64).astype(np.uint64)
     )
-    # One key word sorts as itself; wider keys sort as one opaque item,
-    # which is a consistent total order, all that dedupe needs.
-    kt = np.uint64 if k == 1 else np.dtype((np.void, 8 * k))
     # A grain crossing a border moves its partial sum between t and t + 1,
     # which flips flip[t]: two bits, in two words only where t is a
     # multiple of 64.
     flip = bits[:-1] ^ bits[1:]
+    return bits, flip
+
+
+def _census_sspm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkCensus:
+    n = sum(cols)
+    bits, flip = _sspm_key_tables(n)
+    k = bits.shape[1]
+    # One key word sorts as itself; wider keys sort as one opaque item,
+    # which is a consistent total order, all that dedupe needs.
+    kt = np.uint64 if k == 1 else np.dtype((np.void, 8 * k))
     dtype = _int_type(n)  # holds every height, slope and partial sum
     # A row is (0, P_0, ..., P_{W-1}): a constant 0, then the partial sums
     # of W columns whose first and last are kept empty.
@@ -620,10 +669,10 @@ def _census_sspm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> Sink
         kids = a.take(rows, axis=0)
         cell = col.take(pick) + np.arange(0, len(kids) * (width + 1), width + 1)
         kids.put(cell, kids.take(cell) + step.take(pick))
-        # A child with a grain in the first or the last column gets 8 more
+        # A child with a grain in the first or the last column gets more
         # empty columns on that side: copies of the edge entry, 0 or n.
-        left = 8 if np.count_nonzero(kids[:, 1]) else 0
-        right = 8 if np.count_nonzero(kids[:, -2] != n) else 0
+        left = _SSPM_MARGIN if np.count_nonzero(kids[:, 1]) else 0
+        right = _SSPM_MARGIN if np.count_nonzero(kids[:, -2] != n) else 0
         if left or right:
             kids = kids.take(np.arange(-left, width + 1 + right), axis=1, mode="clip")
             width += left + right
@@ -647,11 +696,16 @@ def sink_census(
     Two lanes, picked by the model alone:
 
     * every rightward-only root goes through the SPM array sweep, which
-      stores each shape as slopes, (-c_0, d_0, d_1, ...), so that a move
-      adds one fixed vector to the row, and emits each shape once, from
-      its canonical parent, so it never sorts or dedupes a level; its
-      rows are int8, int16 or wider as the root's tallest column needs,
-      since no entry ever exceeds that column;
+      stores each shape as offset slopes, (-c_0, d_0 - 2, d_1 - 2, ...),
+      so that a move adds one fixed vector to the row, and emits each
+      shape once, from its canonical parent, picked by one compare
+      against a table of kept moves, so it never sorts or dedupes a
+      level; its rows are 8, 16, 32 or 64 bits wide as the root's
+      tallest column needs, since no column ever grows past it and none
+      inside a shape ever empties.  Under this rule every maximal firing
+      sequence has the same length and the same end, so the sinks are
+      read off the last level alone; a row there that can still fire
+      raises RuntimeError;
     * every symmetric root goes through the SSPM array sweep, which keys
       each shape by a mask of its partial sums, in as many 64-bit words
       as the grains need, and dedupes every level against all keys seen

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+from itertools import accumulate
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +34,8 @@ from sandpiles import (
     verify,
 )
 
-from sandpiles.orbit import _census_spm_array, _census_sspm_array
+from sandpiles import orbit
+from sandpiles.orbit import _census_spm_array, _census_sspm_array, _sspm_key_tables
 
 from conftest import (
     compositions,
@@ -526,12 +531,22 @@ class TestSinkCensus:
                 assert set(census.sinks) == set(sinks(g))
 
     @pytest.mark.parametrize(
-        "limits", [ExplorationLimits(max_vertices=2000), ExplorationLimits(max_depth=5)]
+        "limits",
+        [
+            ExplorationLimits(max_vertices=2000),
+            ExplorationLimits(max_depth=5),
+            ExplorationLimits(max_depth=4),
+            ExplorationLimits(max_vertices=300),
+        ],
     )
     def test_spm_array_lane_takes_every_root(self, limits):
-        # rows are int8 up to a column of 127, int16 up to 32767 and int32
-        # beyond; every root takes the one SPM lane
+        # rows are int8 up to a column of 127, int16 up to 32767, int32 up
+        # to 2^31 - 1 and int64 up to 2^63 - 1; every root takes the one
+        # SPM lane.  The second line sits at the edge of each type: a
+        # slope as low as 1 - max still fits once offset by -2, and -c_0
+        # = -max is kept as it is.
         roots = [(127,), (128,), (255,), (256,), (300,), (130, 200), (5, 40000, 3)]
+        roots += [(126, 1), (1, 127), (32766, 1), (2**63 - 2, 1), (2**63 - 1,), (5, 2**63 - 1, 3)]
         for cols in roots:
             census = sink_census(C(cols), Model.SPM, limits)
             assert plain(census) == naive_census(cols, "spm", limits), cols
@@ -556,6 +571,17 @@ class TestSinkCensus:
                 if len(cols) <= 4:
                     want = naive_census(cols, "spm", limits)
                     assert plain(_census_spm_array(cols, limits)) == want, cols
+
+    def test_spm_rows_widen_at_the_edge(self):
+        # rows keep their last column empty and widen by 8 when column
+        # W - 2 fires; a tall last column makes that happen at the first
+        # level, and the long rows of ones later and more than once
+        limits = ExplorationLimits()
+        roots = [(1,) * 6 + (k,) for k in (3, 4, 9, 20)]
+        roots += [(1,) * 7 + (12,), (1,) * 14 + (6,), (2,) * 6 + (10,), (3, 1, 1, 1, 1, 1, 1, 25)]
+        for cols in roots:
+            want = naive_census(cols, "spm", limits)
+            assert plain(_census_spm_array(cols, limits)) == want, cols
 
     @pytest.mark.parametrize("max_vertices", [1, 50, 1000])
     @pytest.mark.parametrize("max_depth", [None, 0, 3, 40])
@@ -619,6 +645,80 @@ class TestSinkCensus:
             census = sink_census(C(cols), Model.SSPM, limits)
             assert plain(census) == naive_census(cols, "sspm", limits), cols
 
+    @pytest.mark.parametrize("max_vertices", [3000, 20000])
+    @pytest.mark.parametrize("max_depth", [None, 12])
+    def test_sspm_rows_widen_one_column_at_a_time(self, monkeypatch, max_vertices, max_depth):
+        # with a margin of 1 every root above widens a side three to five
+        # times, so the second and later widenings of a side run too
+        monkeypatch.setattr(orbit, "_SSPM_MARGIN", 1)
+        limits = ExplorationLimits(max_vertices=max_vertices, max_depth=max_depth)
+        for cols in [(30,), (1, 29), (29, 1), (1, 1, 1, 1, 40), (40, 1, 1, 1, 1), (126, 1), (127,), (128,)]:
+            census = sink_census(C(cols), Model.SSPM, limits)
+            assert plain(census) == naive_census(cols, "sspm", limits), cols
+
+    def test_sspm_key_tables_match_the_definition(self):
+        # a key has bit (S - 1) % 64 of word (S - 1) // 64 set for each
+        # interior partial sum 0 < S < n; a move's key must be its
+        # parent's key XOR flip[t], t the lower of the two sums the move
+        # passes its border's partial sum between
+        def key(cols, n, k):
+            mask = sum(1 << (s - 1) for s in accumulate(cols) if 0 < s < n)
+            return [mask >> 64 * w & (1 << 64) - 1 for w in range(k)]
+
+        rng = random.Random(11)
+        for n in list(range(2, 12)) + [63, 64, 65, 66, 127, 128, 129, 130, 300] + rng.sample(range(12, 301), 20):
+            bits, flip = _sspm_key_tables(n)
+            k = max(1, -(-(n - 1) // 64))
+            assert bits.shape == (n + 1, k) and flip.shape == (n, k)
+            for s in range(n + 1):
+                want = [1 << (s - 1) % 64 if 0 < s < n and w == (s - 1) // 64 else 0 for w in range(k)]
+                assert bits[s].tolist() == want, (n, s)
+            shapes = []
+            for _ in range(10):
+                cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(n - 1, 40))))
+                shapes.append([b - a for a, b in zip([0] + cuts, cuts + [n])])
+            # two columns whose border sum moves across a word boundary
+            shapes += [[s, n - s] for m in range(64, n - 1, 64) for s in (m, m + 1)]
+            for cols in shapes:
+                parent = key(cols, n, k)
+                for i, c in enumerate(cols):
+                    for step in (1, -1):
+                        j = i + step
+                        if c - (cols[j] if 0 <= j < len(cols) else 0) < 2:
+                            continue
+                        work = [0] + cols + [0]
+                        work[i + 1] -= 1
+                        work[j + 1] += 1
+                        child = [x for x in work if x]
+                        # the sum at the border crossed, before the move
+                        before = sum(cols[: i + 1] if step == 1 else cols[:i])
+                        t = before - 1 if step == 1 else before
+                        got = [p ^ f for p, f in zip(parent, flip[t].tolist())]
+                        assert got == key(child, n, k), (cols, i, step)
+
+    def test_spm_sinks_lie_on_the_deepest_level_only(self):
+        # the SPM lane reads sinks off its last level alone, which rests
+        # on chip-firing being strongly convergent; the plain oracle checks
+        # that here without the lane: one sink, and none above the deepest
+        # level, which a census cut one level short would report
+        for n in range(1, 15):
+            for cols in compositions(n):
+                if len(cols) <= 4:
+                    assert_spm_sink_is_unique_and_deepest(cols)
+
+    def test_spm_last_level_that_can_fire_is_an_error(self, monkeypatch):
+        # a kept-move table that hides every child leaves a last level
+        # whose rows can still fire; the lane names the root and depth
+        real = orbit._spm_tables
+
+        def hide_all(width, signed):
+            moves, keep = real(width, signed)
+            return moves, np.zeros_like(keep)
+
+        monkeypatch.setattr(orbit, "_spm_tables", hide_all)
+        with pytest.raises(RuntimeError, match=r"\(3, 1\).*depth 0"):
+            sink_census(C((3, 1)), Model.SPM)
+
     def test_sspm_sinks_are_the_fixed_point_templates(self):
         # the dynamics route and the template route, shape for shape
         for n in range(1, 25):
@@ -629,6 +729,28 @@ class TestSinkCensus:
         assert census.truncated
         full = sink_census(C((8,)), Model.SSPM)
         assert not full.truncated and full.depth > 3
+
+
+def assert_spm_sink_is_unique_and_deepest(cols):
+    # naive_census collects the sinks of every level it expands, so the
+    # census cut one level above the deepest holds every sink above it
+    _, dead, depth, truncated = naive_census(cols, "spm", ExplorationLimits())
+    assert not truncated and len(dead) == 1, (cols, dead)
+    if depth:
+        _, above, _, cut = naive_census(cols, "spm", ExplorationLimits(max_depth=depth - 1))
+        assert cut and above == (), (cols, above)
+
+
+# 1-6 columns, at most 30 grains: the longest prefix of the drawn columns
+# that holds no more
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=6).map(
+        lambda t: tuple(c for c, s in zip(t, accumulate(t)) if s <= 30)
+    )
+)
+def test_spm_sinks_lie_on_the_deepest_level_on_random_roots(cols):
+    assert_spm_sink_is_unique_and_deepest(cols)
 
 
 # 1-3 columns, at most 12 grains: small enough for the naive BFS oracle

@@ -1,0 +1,306 @@
+"""Replay recorded mutants of the package against the tests that must kill them.
+
+Run from the repository root:
+
+    python3 tools/mutants.py              # every mutant
+    python3 tools/mutants.py NAME ...     # the named ones
+    python3 tools/mutants.py --list
+
+A mutant names a file of the repository, an exact old text that must occur
+in it once, the new text that replaces it, and the test ids that must fail
+once it does.  For each mutant the tool copies src/, tests/ and
+pyproject.toml into a temporary directory, applies that one replacement
+and runs only those tests there, so the checkout is never touched.  First
+it runs every listed test on an unchanged copy, since a test that already
+fails kills nothing.
+
+Each mutant is reported as killed (its tests fail), survived (they pass),
+anchor-missing (the old text does not occur exactly once: the code moved,
+and the entry needs a new anchor, not deletion) or error (pytest could not
+run the tests, for instance a test id that no longer exists).  The exit
+status is 0 only when every mutant is killed.  Uses the standard library
+only; the tests themselves need pytest, hypothesis and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    why: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+CORE = "src/sandpiles/core.py"
+ORBIT = "src/sandpiles/orbit.py"
+STRUCTURE = "src/sandpiles/structure.py"
+CENSUS = "tests/test_orbit.py::TestSinkCensus::"
+
+MUTANTS = (
+    Mutant(
+        "spm-left-neighbour-any-drop",
+        "the SPM kept-move table keeps column L - 1 at any drop >= 2, not only at 2",
+        ORBIT,
+        "    keep[q == p - 1] = 1\n",
+        "    keep[q == p - 1] = 1 << 8 * signed.itemsize - 1\n",
+        (CENSUS + "test_array_lane_matches_python_lane_on_small_roots",),
+    ),
+    Mutant(
+        "spm-entry-0-offset",
+        "the SPM root row offsets -c_0 by -2 as well as the slopes",
+        ORBIT,
+        "    a[1:] -= 2  # the slopes offset, -c_0 as it is\n",
+        "    a -= 2\n",
+        (
+            CENSUS + "test_array_lane_matches_python_lane_on_small_roots",
+            CENSUS + "test_agrees_with_full_build[spm]",
+        ),
+    ),
+    Mutant(
+        "spm-widen-off-by-one",
+        "SPM rows widen only when column W - 1 fires, one column too late",
+        ORBIT,
+        "        if last.max() == width - 1:\n",
+        "        if last.max() == width:\n",
+        (CENSUS + "test_spm_rows_widen_at_the_edge",),
+    ),
+    Mutant(
+        "sspm-cross-word-flip-in-lower-word",
+        "flip[64] holds both of its bits in word 0, so the key of a shape "
+        "whose partial sum moves between 64 and 65 is wrong",
+        ORBIT,
+        "    flip = bits[:-1] ^ bits[1:]\n",
+        "    flip = bits[:-1] ^ bits[1:]\n"
+        "    flip[64:65, 0] |= np.uint64(1)\n"
+        "    flip[64:65, 1:] = 0\n",
+        (CENSUS + "test_sspm_key_tables_match_the_definition",),
+    ),
+    Mutant(
+        "sspm-second-widening",
+        "SSPM rows stop widening once they have grown by two margins, so a "
+        "side that reaches its margin a second time loses grains off the edge",
+        ORBIT,
+        "        if left or right:\n",
+        "        if (left or right) and width < len(cols) + 2 + 2 * _SSPM_MARGIN:\n",
+        (CENSUS + "test_sspm_rows_widen_one_column_at_a_time[None-3000]",),
+    ),
+    Mutant(
+        "sspm-cross-word-flip-drops-upper-bit",
+        "flip[t] for t a multiple of 64 keeps only its lower-word bit",
+        ORBIT,
+        "    flip = bits[:-1] ^ bits[1:]\n",
+        "    flip = bits[:-1] ^ bits[1:]\n    flip[64::64] = bits[64:-1:64]\n",
+        (
+            CENSUS + "test_sspm_key_tables_match_the_definition",
+            CENSUS + "test_sspm_key_crosses_word_boundaries[limits0]",
+        ),
+    ),
+    Mutant(
+        "sspm-end-borders-keyed",
+        "the borders past either end (sums 0 and n) add the bits of sums 1 "
+        "and n - 1 to every key",
+        ORBIT,
+        "    flip = bits[:-1] ^ bits[1:]\n",
+        "    bits[0] = bits[1]\n    bits[n] = bits[n - 1]\n    flip = bits[:-1] ^ bits[1:]\n",
+        (
+            CENSUS + "test_sspm_key_tables_match_the_definition",
+            CENSUS + "test_sspm_array_lane_matches_python_lane_on_small_roots",
+        ),
+    ),
+    Mutant(
+        "sspm-dedupe-within-level-only",
+        "the SSPM sweep drops repeated keys within a level but not keys seen before",
+        ORBIT,
+        '        fresh = seen.take(seen.searchsorted(key), mode="clip") != key\n',
+        "        fresh = np.ones(len(key), dtype=bool)\n",
+        (CENSUS + "test_sspm_array_lane_matches_python_lane_on_small_roots",),
+    ),
+    Mutant(
+        "spm-rows-always-int8",
+        "SPM rows are int8 whatever the root's tallest column",
+        ORBIT,
+        "    signed = np.dtype(_int_type(max(cols)))\n",
+        "    signed = np.dtype(np.int8)\n",
+        (CENSUS + "test_spm_array_lane_takes_every_root[limits0]",),
+    ),
+    Mutant(
+        "fire-right-before-left",
+        "the rule kernel lists a column's rightward move before its leftward one",
+        CORE,
+        "        if sspm and h - left >= 2:\n"
+        "            head = cols[: j - 2] if j > 1 else ()\n"
+        "            out.append((j, _LEFT, head + (left + 1, h - 1) + cols[j:]))\n"
+        "        if h - right >= 2:\n"
+        "            out.append((j, _RIGHT, cols[: j - 1] + (h - 1, right + 1) + cols[j + 1 :]))\n",
+        "        if h - right >= 2:\n"
+        "            out.append((j, _RIGHT, cols[: j - 1] + (h - 1, right + 1) + cols[j + 1 :]))\n"
+        "        if sspm and h - left >= 2:\n"
+        "            head = cols[: j - 2] if j > 1 else ()\n"
+        "            out.append((j, _LEFT, head + (left + 1, h - 1) + cols[j:]))\n",
+        ("tests/test_cli.py::TestEvolve::test_golden_sspm_trajectory",),
+    ),
+    Mutant(
+        "fire-labels-swapped",
+        "the rule kernel labels a leftward move RIGHT and a rightward one LEFT",
+        CORE,
+        "            out.append((j, _LEFT, head + (left + 1, h - 1) + cols[j:]))\n"
+        "        if h - right >= 2:\n"
+        "            out.append((j, _RIGHT,",
+        "            out.append((j, _RIGHT, head + (left + 1, h - 1) + cols[j:]))\n"
+        "        if h - right >= 2:\n"
+        "            out.append((j, _LEFT,",
+        ("tests/test_core.py::TestMoves::test_apply_move_examples",),
+    ),
+    Mutant(
+        "build-drops-back-edges",
+        "build keeps only the edges into vertices with a larger id",
+        ORBIT,
+        "for v in sorted(map(intern.get, kids))]",
+        "for v in sorted(map(intern.get, kids)) if v > u]",
+        ("tests/test_orbit.py::test_build_and_census_match_naive_bfs_on_multi_column_roots",),
+    ),
+    Mutant(
+        "build-interns-padded-shapes",
+        "build wraps each vertex with a trailing empty column",
+        ORBIT,
+        "vertices=tuple(map(Configuration._trusted, verts)),",
+        "vertices=tuple(Configuration._trusted(t + (0,)) for t in verts),",
+        ("tests/test_orbit.py::test_build_interns_only_shapes_the_constructor_accepts",),
+    ),
+    Mutant(
+        "lattice-no-glb-test",
+        "lattice_check accepts every pair without testing its meet",
+        ORBIT,
+        "            if lower & ~desc[glb]:\n                return False\n",
+        "",
+        (
+            "tests/test_orbit.py::TestLattice::test_diamond_pair_without_meet",
+            "tests/test_orbit.py::test_lattice_check_matches_naive_lattice_on_random_graphs",
+        ),
+    ),
+    Mutant(
+        "lattice-no-unique-source-test",
+        "lattice_check accepts graphs with more than one source",
+        ORBIT,
+        "    if sum(1 for d in indeg if d == 0) != 1:\n        return False\n",
+        "",
+        ("tests/test_orbit.py::test_lattice_check_matches_naive_lattice_on_random_graphs",),
+    ),
+    Mutant(
+        "verify-top-bound-5",
+        "verify lets SSPM tops be 5 columns wide",
+        ORBIT,
+        "    bound = 4 if g.model is Model.SSPM else 2\n",
+        "    bound = 5 if g.model is Model.SSPM else 2\n",
+        ("tests/test_orbit.py::TestVerify::test_wide_tops_fail_with_the_first_in_id_order",),
+    ),
+    Mutant(
+        "verify-last-membership-witness",
+        "verify names the last vertex that fails membership, not the first",
+        ORBIT,
+        "    witness = next((v for v in g.vertices if not member(v)), None)\n",
+        "    witness = next((v for v in reversed(g.vertices) if not member(v)), None)\n",
+        ("tests/test_orbit.py::TestVerify::test_valleys_fail_with_the_first_in_id_order",),
+    ),
+    Mutant(
+        "plateau-spans-restart",
+        "plateau_spans starts a new span at every equal pair",
+        STRUCTURE,
+        "            first = spans.pop()[0] if spans and spans[-1][1] == i else i\n",
+        "            first = i\n",
+        ("tests/test_structure.py::TestPlateausAndCliffs::test_plateau_spans_against_runs",),
+    ),
+    Mutant(
+        "json-edges-reversed",
+        "the JSON export lists the edges last to first",
+        ORBIT,
+        '            "edges": g.edges,\n',
+        '            "edges": g.edges[::-1],\n',
+        ("tests/test_orbit.py::test_export_bytes_match_the_recorded_digests[sspm_columns-json]",),
+    ),
+)
+
+
+def _copy(dst: Path) -> None:
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dst / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(src, dst / name)
+
+
+def _pytest(where: Path, tests: tuple[str, ...]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(where / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(cmd, cwd=where, env=env, capture_output=True, timeout=TIMEOUT_S)
+    return done.returncode
+
+
+def run(mutant: Mutant) -> str:
+    with tempfile.TemporaryDirectory(prefix="sandpiles-mutant-") as tmp:
+        where = Path(tmp)
+        _copy(where)
+        target = where / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return "anchor-missing"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        code = _pytest(where, mutant.tests)
+    # pytest exits 1 when a test failed; 0 when all passed; anything else
+    # (usage error, nothing collected, internal error) ran no verdict.
+    return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+    if args.list:
+        for m in MUTANTS:
+            print(f"{m.name}: {m.why}")
+        return 0
+    known = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [known[n] for n in args.names] if args.names else list(MUTANTS)
+
+    tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+    with tempfile.TemporaryDirectory(prefix="sandpiles-mutant-") as tmp:
+        _copy(Path(tmp))
+        code = _pytest(Path(tmp), tests)
+    if code != 0:
+        print(f"baseline: the listed tests do not pass on an unchanged copy (pytest exit {code})")
+        return 2
+
+    tally: dict[str, int] = {}
+    for m in chosen:
+        start = time.perf_counter()
+        verdict = run(m)
+        tally[verdict] = tally.get(verdict, 0) + 1
+        print(f"{m.name}: {verdict} ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(", ".join(f"{count} {verdict}" for verdict, count in sorted(tally.items())))
+    return 0 if tally.get("killed", 0) == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
