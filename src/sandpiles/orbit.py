@@ -4,8 +4,9 @@ lattice and transient analysis, and deterministic exports.
 Two exploration lanes live here.  ``build`` materialises the full graph
 (vertices, edges, depths, sinks) and feeds every analysis below it.  For
 sweeps where only the number of reachable shapes and the set of sinks
-matter, ``sink_census`` walks the same state space without storing edges;
-under either model it runs as a vectorised per-level sweep, which is what
+matter, ``sink_census`` walks the same state space without storing edges.
+One loop there owns the limits and the sinks, and each model's lane is a
+generator that yields one vectorised level at a time, which is what
 makes exhaustive checks practical (up to a hundred grains under the
 rightward-only rule).
 
@@ -97,8 +98,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
-from typing import NamedTuple
+from itertools import accumulate, count
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -291,11 +292,6 @@ def lattice_check(g: OrbitGraph) -> bool:
     m = g.vertex_count
     if m == 1:
         return True
-    indeg = [0] * m
-    for _, v in g.edges:
-        indeg[v] += 1
-    if sum(1 for d in indeg if d == 0) != 1:
-        return False
     if len(g.sink_ids) != 1:
         return False
     order = g.topo_order
@@ -313,6 +309,11 @@ def lattice_check(g: OrbitGraph) -> bool:
         for s in out_r[r]:
             acc |= desc[s]
         desc[r] = acc
+    # Rank 0 is a source, and every vertex of a DAG descends from some
+    # source, so it is the only one exactly when everything descends
+    # from it.
+    if desc[0] != (1 << m) - 1:
+        return False
     for a, da in enumerate(desc):
         for db in desc[a + 1 :]:
             lower = da & db
@@ -390,19 +391,22 @@ def verify(g: OrbitGraph) -> VerificationReport:
             checks.append(CheckResult(name, "skipped", skip))
         return VerificationReport(tuple(checks))
 
-    witness = next((v for v in g.vertices if not _split_cuts(v.columns)), None)
+    # Either predicate implies a monotone split (a non-increasing shape
+    # splits at t = 0, and sspm_member searches the splits), so a vertex
+    # without one is among those that fail membership, and the first of
+    # them is the first in id order.
+    member = spm_member if g.model is Model.SPM else sspm_member
+    failed = [v for v in g.vertices if not member(v)]
+    witness = next((v for v in failed if not _split_cuts(v.columns)), None)
     checks.append(
         CheckResult("lr-decomposable", "pass")
         if witness is None
         else CheckResult("lr-decomposable", "fail", f"({witness}) has no monotone split")
     )
-
-    member = spm_member if g.model is Model.SPM else sspm_member
-    witness = next((v for v in g.vertices if not member(v)), None)
     checks.append(
-        CheckResult("membership", "pass")
-        if witness is None
-        else CheckResult("membership", "fail", f"({witness}) fails the predicate")
+        CheckResult("membership", "fail", f"({failed[0]}) fails the predicate")
+        if failed
+        else CheckResult("membership", "pass")
     )
 
     bound = 4 if g.model is Model.SSPM else 2
@@ -471,12 +475,12 @@ class SinkCensus(NamedTuple):
     truncated: bool
 
 
-def _int_type(top: int) -> type:
+def _int_type(top: int, root: tuple[int, ...]) -> type:
     # The narrowest signed integer type that holds -top..top.
     for t in (np.int8, np.int16, np.int32, np.int64):
         if top <= np.iinfo(t).max:
             return t
-    raise OverflowError(f"no numpy integer type holds {top}")
+    raise OverflowError(f"no numpy integer type holds {top}, as the rows of {root} need")
 
 
 def _spm_tables(width: int, signed: np.dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -505,7 +509,7 @@ def _spm_tables(width: int, signed: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     return moves, keep
 
 
-def _census_spm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkCensus:
+def _spm_levels(cols: tuple[int, ...]) -> Iterator[tuple[list, int]]:
     # Rows start one empty column wider than the root and grow as shapes
     # reach the edge, so the (W+1, W+1) tables stay as small as the shapes
     # the sweep has met.
@@ -516,7 +520,7 @@ def _census_spm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkC
     # [-1 - max(cols), max(cols) - 2], which the signed type of max(cols)
     # holds.  Rows are kept in the unsigned type of that width: sums wrap
     # alike, and the kept-move compare needs no cast.
-    signed = np.dtype(_int_type(max(cols)))
+    signed = np.dtype(_int_type(max(cols), cols))
     dtype = np.dtype(f"u{signed.itemsize}")
     h = np.zeros(width + 2, dtype=signed)
     h[1 : len(cols) + 1] = cols
@@ -525,12 +529,7 @@ def _census_spm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkC
     a = a.view(dtype)[None]
     moves, keep = _spm_tables(width, signed)
     last = np.zeros(1, dtype=np.intp)  # the move that made each row
-    vertex_count = 0
-    depth = 0
-    truncated = False
-    found: list[tuple[int, ...]] = []
-    while True:
-        vertex_count += len(a)
+    for depth in count():
         kept = a < keep.take(last, axis=0)
         rows, last = np.divmod(kept.ravel().nonzero()[0], width + 1)
         if not len(rows):
@@ -545,9 +544,9 @@ def _census_spm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkC
                     f"SPM census of {cols}: a row on the last level, depth {depth}, can still fire"
                 )
             # whose partial sums are -c_0, -c_1, ...
-            for row in level.cumsum(axis=1, dtype=signed):
-                found.append(tuple(-int(x) for x in row if x))
-            break
+            yield [[-int(x) for x in row] for row in level.cumsum(axis=1, dtype=signed)], 0
+            return
+        yield [], len(rows)
         kids = a.take(rows, axis=0)
         kids += moves.take(last, axis=0)
         # Only firing column W - 2 puts a grain in the last column, which
@@ -557,20 +556,7 @@ def _census_spm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkC
             kids = np.pad(kids.view(signed), ((0, 0), (0, 8)), constant_values=-2).view(dtype)
             width += 8
             moves, keep = _spm_tables(width, signed)
-        if limits.max_depth is not None and depth == limits.max_depth:
-            truncated = True
-            break
-        if vertex_count + len(kids) > limits.max_vertices:
-            truncated = True
-            break
         a = kids
-        depth += 1
-    return SinkCensus(
-        vertex_count,
-        tuple(Configuration(t) for t in sorted(found)),
-        depth,
-        truncated,
-    )
 
 
 # How many empty columns an SSPM census row gains on a side when a child
@@ -599,23 +585,20 @@ def _sspm_key_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return bits, flip
 
 
-def _census_sspm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> SinkCensus:
+def _sspm_levels(cols: tuple[int, ...]) -> Iterator[tuple[list, int]]:
     n = sum(cols)
+    dtype = _int_type(n, cols)  # holds every height, slope and partial sum
     bits, flip = _sspm_key_tables(n)
     k = bits.shape[1]
     # One key word sorts as itself; wider keys sort as one opaque item,
     # which is a consistent total order, all that dedupe needs.
     kt = np.uint64 if k == 1 else np.dtype((np.void, 8 * k))
-    dtype = _int_type(n)  # holds every height, slope and partial sum
     # A row is (0, P_0, ..., P_{W-1}): a constant 0, then the partial sums
     # of W columns whose first and last are kept empty.
     a = np.array([(0, 0, *accumulate(cols), n)], dtype=dtype)
     width = len(cols) + 2
     key = np.bitwise_or.reduce(bits.take(a[0], axis=0)).view(kt)
     seen = key  # every key visited so far, sorted
-    depth = 0
-    truncated = False
-    found: list[list[int]] = []  # the heights of the sinks, margins too
     while True:
         # One difference gives the heights and a second the slopes: d[r, i]
         # is the second difference of row r at entry i, for P_j the slope
@@ -630,13 +613,16 @@ def _census_sspm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> Sink
         d[:, -1] = 0
         flat = (np.abs(d) >= 2).ravel().nonzero()[0]  # flat indices into a
         rows, col = np.divmod(flat, width + 1)
-        # rows is sorted, so a row that cannot move is a gap in it
+        # the heights of the level's sinks, margins too; rows is sorted, so
+        # a row that cannot move is a gap in it
+        found = []
         if np.count_nonzero(rows[1:] != rows[:-1]) + (len(rows) > 0) < len(a):
             stuck = np.ones(len(a), dtype=bool)
             stuck.put(rows, False)
-            found += np.diff(a.compress(stuck, axis=0)).tolist()
+            found = np.diff(a.compress(stuck, axis=0)).tolist()
         if not len(flat):
-            break
+            yield found, 0
+            return
         # A grain crossing border j changes P_j alone, by one: up when it
         # moves left (d > 0), down when it moves right.  So the lower of
         # the two sums is P_j + (step >> 1), step >> 1 being 0 or -1.
@@ -655,14 +641,7 @@ def _census_sspm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> Sink
         fresh = seen.take(seen.searchsorted(key), mode="clip") != key
         key = key.compress(fresh)
         pick = pick.compress(first).compress(fresh)
-        if not len(key):
-            break
-        if limits.max_depth is not None and depth == limits.max_depth:
-            truncated = True
-            break
-        if len(seen) + len(key) > limits.max_vertices:
-            truncated = True
-            break
+        yield found, len(key)
         seen = np.concatenate((seen, key))
         seen.sort(kind="stable")  # a merge of two sorted runs
         rows = rows.take(pick)
@@ -677,13 +656,6 @@ def _census_sspm_array(cols: tuple[int, ...], limits: ExplorationLimits) -> Sink
             kids = kids.take(np.arange(-left, width + 1 + right), axis=1, mode="clip")
             width += left + right
         a = kids
-        depth += 1
-    return SinkCensus(
-        len(seen),
-        tuple(sorted(map(Configuration, found))),  # which trims the margins
-        depth,
-        truncated,
-    )
 
 
 def sink_census(
@@ -693,32 +665,45 @@ def sink_census(
 ) -> SinkCensus:
     """Count the reachable shapes and collect the sinks, without edges.
 
-    Two lanes, picked by the model alone:
+    This loop alone owns the sweep's policy: the shape count, the depth,
+    both limits, the truncation flag and the sinks.  The lane of the
+    model yields one pair per level: the heights of that level's sinks
+    and the size of the next level, 0 when there is none.  The next
+    level is taken whole or not at all: at max_depth, or when it would
+    bring the count past max_vertices, the census is flagged truncated,
+    and the lane, never resumed, never builds that level's rows.
 
-    * every rightward-only root goes through the SPM array sweep, which
-      stores each shape as offset slopes, (-c_0, d_0 - 2, d_1 - 2, ...),
-      so that a move adds one fixed vector to the row, and emits each
-      shape once, from its canonical parent, picked by one compare
-      against a table of kept moves, so it never sorts or dedupes a
-      level; its rows are 8, 16, 32 or 64 bits wide as the root's
-      tallest column needs, since no column ever grows past it and none
-      inside a shape ever empties.  Under this rule every maximal firing
-      sequence has the same length and the same end, so the sinks are
-      read off the last level alone; a row there that can still fire
-      raises RuntimeError;
-    * every symmetric root goes through the SSPM array sweep, which keys
-      each shape by a mask of its partial sums, in as many 64-bit words
-      as the grains need, and dedupes every level against all keys seen
-      so far; its rows hold those partial sums between two empty margin
-      columns, so a move adds +1 or -1 to one entry of a row, and a row
-      is widened only when a child puts a grain in a margin.
+    * The SPM lane stores each shape as offset slopes, so that a move
+      adds one fixed vector to the row, and emits each shape once, from
+      its canonical parent, picked by one compare against a table of
+      kept moves; it never sorts or dedupes a level.  Every maximal
+      firing sequence has the same length and the same end, so the sinks
+      are read off the last level alone; a row there that can still fire
+      raises RuntimeError.
+    * The SSPM lane keys each shape by a mask of its partial sums and
+      dedupes every level against all keys seen so far; its rows hold
+      those partial sums between two empty margin columns.
 
-    The module docstring describes both sweeps.  Results agree with
-    build() wherever both fit in memory, which the test suite pins down
-    on small cases, and with a plain visited-set search in the tests.
+    Rows are the narrowest signed integers that hold the root's tallest
+    column (SPM) or its grains (SSPM); a root that needs more than 64
+    bits raises OverflowError, naming it.  The module docstring describes
+    both sweeps.  Results agree with build() wherever both fit in memory,
+    which the test suite pins down on small cases, and with a plain
+    visited-set search in the tests.
     """
     if limits is None:
         limits = ExplorationLimits()
-    if model is Model.SPM:
-        return _census_spm_array(root.columns, limits)
-    return _census_sspm_array(root.columns, limits)
+    lane = _spm_levels if model is Model.SPM else _sspm_levels
+    vertex_count, depth, truncated = 1, 0, False
+    found: list[list[int]] = []
+    for level_sinks, size in lane(root.columns):
+        found += level_sinks
+        if not size:
+            break
+        if depth == limits.max_depth or vertex_count + size > limits.max_vertices:
+            truncated = True
+            break
+        vertex_count += size
+        depth += 1
+    # Configuration trims the empty columns the lanes keep
+    return SinkCensus(vertex_count, tuple(sorted(map(Configuration, found))), depth, truncated)

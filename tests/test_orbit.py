@@ -35,7 +35,7 @@ from sandpiles import (
 )
 
 from sandpiles import orbit
-from sandpiles.orbit import _census_spm_array, _census_sspm_array, _sspm_key_tables
+from sandpiles.orbit import _sspm_key_tables
 
 from conftest import (
     compositions,
@@ -338,6 +338,17 @@ class TestVerify:
             CheckResult("sink-census", "fail", "found 1 sinks, expected 2"),
         )
 
+    def test_split_witness_is_searched_past_the_first_failed_member(self):
+        # (1,1,1,1,1) fails membership but splits at t = 0; the first
+        # vertex without a split is the later (2,1,2)
+        g = self.fabricated(Model.SSPM, (5,), [(5,), (1, 1, 1, 1, 1), (2, 1, 2), (1, 2, 1, 1)], (3,))
+        assert verify(g).checks[2:] == (
+            CheckResult("lr-decomposable", "fail", "(2,1,2) has no monotone split"),
+            CheckResult("membership", "fail", "(1,1,1,1,1) fails the predicate"),
+            CheckResult("top-width", "fail", "(1,1,1,1,1) has top wider than 4"),
+            CheckResult("sink-census", "fail", "found 1 sinks, expected 2"),
+        )
+
     def test_wide_tops_fail_with_the_first_in_id_order(self):
         g = self.fabricated(
             Model.SSPM,
@@ -570,7 +581,7 @@ class TestSinkCensus:
             for cols in compositions(n):
                 if len(cols) <= 4:
                     want = naive_census(cols, "spm", limits)
-                    assert plain(_census_spm_array(cols, limits)) == want, cols
+                    assert plain(sink_census(C(cols), Model.SPM, limits)) == want, cols
 
     def test_spm_rows_widen_at_the_edge(self):
         # rows keep their last column empty and widen by 8 when column
@@ -581,7 +592,7 @@ class TestSinkCensus:
         roots += [(1,) * 7 + (12,), (1,) * 14 + (6,), (2,) * 6 + (10,), (3, 1, 1, 1, 1, 1, 1, 25)]
         for cols in roots:
             want = naive_census(cols, "spm", limits)
-            assert plain(_census_spm_array(cols, limits)) == want, cols
+            assert plain(sink_census(C(cols), Model.SPM, limits)) == want, cols
 
     @pytest.mark.parametrize("max_vertices", [1, 50, 1000])
     @pytest.mark.parametrize("max_depth", [None, 0, 3, 40])
@@ -589,7 +600,7 @@ class TestSinkCensus:
         limits = ExplorationLimits(max_vertices=max_vertices, max_depth=max_depth)
         for cols in [(30,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
             want = naive_census(cols, "spm", limits)
-            assert plain(_census_spm_array(cols, limits)) == want, cols
+            assert plain(sink_census(C(cols), Model.SPM, limits)) == want, cols
 
     def test_sspm_array_lane_matches_python_lane_on_small_roots(self):
         # every shape recurs through the sorted key set, never the rows,
@@ -600,7 +611,7 @@ class TestSinkCensus:
             for cols in compositions(n):
                 if len(cols) <= 4:
                     want = naive_census(cols, "sspm", limits)
-                    assert plain(_census_sspm_array(cols, limits)) == want, cols
+                    assert plain(sink_census(C(cols), Model.SSPM, limits)) == want, cols
 
     @pytest.mark.parametrize("max_vertices", [1, 50, 1000])
     @pytest.mark.parametrize("max_depth", [None, 0, 3, 40])
@@ -610,7 +621,7 @@ class TestSinkCensus:
         limits = ExplorationLimits(max_vertices=max_vertices, max_depth=max_depth)
         for cols in [(8,), (20,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
             want = naive_census(cols, "sspm", limits)
-            assert plain(_census_sspm_array(cols, limits)) == want, cols
+            assert plain(sink_census(C(cols), Model.SSPM, limits)) == want, cols
 
     @pytest.mark.parametrize("max_vertices", [3000, 20000])
     @pytest.mark.parametrize("max_depth", [None, 12])
@@ -723,6 +734,13 @@ class TestSinkCensus:
         # the dynamics route and the template route, shape for shape
         for n in range(1, 25):
             assert sink_census(C((n,)), Model.SSPM).sinks == enumerate_fixed_points(n), n
+
+    @pytest.mark.parametrize("model", [Model.SPM, Model.SSPM])
+    def test_root_no_row_type_holds_is_refused(self, model):
+        # a column of 2^63 needs more than int64 under either model; the
+        # error names the root before any table is built
+        with pytest.raises(OverflowError, match=r"\(9223372036854775808,\)"):
+            sink_census(C((2**63,)), model, ExplorationLimits(max_depth=2))
 
     def test_depth_cap(self):
         census = sink_census(C((8,)), Model.SSPM, ExplorationLimits(max_depth=3))

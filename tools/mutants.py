@@ -136,9 +136,28 @@ MUTANTS = (
         "spm-rows-always-int8",
         "SPM rows are int8 whatever the root's tallest column",
         ORBIT,
-        "    signed = np.dtype(_int_type(max(cols)))\n",
+        "    signed = np.dtype(_int_type(max(cols), cols))\n",
         "    signed = np.dtype(np.int8)\n",
         (CENSUS + "test_spm_array_lane_takes_every_root[limits0]",),
+    ),
+    Mutant(
+        "census-vertex-cap-at-equality",
+        "the census loop refuses a level that would bring the count exactly to max_vertices",
+        ORBIT,
+        "vertex_count + size > limits.max_vertices:",
+        "vertex_count + size >= limits.max_vertices:",
+        (CENSUS + "test_array_lane_matches_python_lane_under_limits[None-1000]",),
+    ),
+    Mutant(
+        "census-depth-cap-past",
+        "the census loop cuts only past max_depth, one level too deep",
+        ORBIT,
+        "if depth == limits.max_depth or",
+        "if depth > limits.max_depth or",
+        (
+            CENSUS + "test_spm_array_lane_takes_every_root[limits0]",
+            CENSUS + "test_spm_array_lane_takes_every_root[limits1]",
+        ),
     ),
     Mutant(
         "fire-right-before-left",
@@ -199,7 +218,7 @@ MUTANTS = (
         "lattice-no-unique-source-test",
         "lattice_check accepts graphs with more than one source",
         ORBIT,
-        "    if sum(1 for d in indeg if d == 0) != 1:\n        return False\n",
+        "    if desc[0] != (1 << m) - 1:\n        return False\n",
         "",
         ("tests/test_orbit.py::test_lattice_check_matches_naive_lattice_on_random_graphs",),
     ),
@@ -215,8 +234,8 @@ MUTANTS = (
         "verify-last-membership-witness",
         "verify names the last vertex that fails membership, not the first",
         ORBIT,
-        "    witness = next((v for v in g.vertices if not member(v)), None)\n",
-        "    witness = next((v for v in reversed(g.vertices) if not member(v)), None)\n",
+        'CheckResult("membership", "fail", f"({failed[0]}) fails the predicate")',
+        'CheckResult("membership", "fail", f"({failed[-1]}) fails the predicate")',
         ("tests/test_orbit.py::TestVerify::test_valleys_fail_with_the_first_in_id_order",),
     ),
     Mutant(
@@ -225,7 +244,10 @@ MUTANTS = (
         STRUCTURE,
         "            first = spans.pop()[0] if spans and spans[-1][1] == i else i\n",
         "            first = i\n",
-        ("tests/test_structure.py::TestPlateausAndCliffs::test_plateau_spans_against_runs",),
+        (
+            "tests/test_structure.py::TestPlateausAndCliffs::test_plateau_spans",
+            "tests/test_structure.py::TestPlateausAndCliffs::test_plateau_spans_against_runs",
+        ),
     ),
     Mutant(
         "json-edges-reversed",
