@@ -105,11 +105,12 @@ import numpy as np
 
 from .core import Configuration, Model, _fire, energy
 from .structure import (
-    _split_cuts,
     enumerate_fixed_points,
+    lr_splits,
     spm_fixed_point,
     spm_member,
     sspm_member,
+    top,
 )
 
 
@@ -195,52 +196,56 @@ def build(
     """Explore everything reachable from root and intern it as a graph.
 
     Exploration is breadth-first with the frontier kept in lexicographic
-    order.  Every interned vertex is expanded exactly once, also when a
-    limit cuts exploration short; the graph then keeps what was found,
-    drops edges into shapes that were never interned, and is flagged
-    truncated.
+    order, and each level is finished before the next is explored: its
+    vertices are expanded, the shapes new to the graph are interned, and
+    the level's sinks and edges are recorded.  Every interned vertex is
+    expanded exactly once, also when a limit cuts exploration short; the
+    graph is then flagged truncated and keeps what was found.  A vertex is
+    a sink when it has no move at all, judged before any cut, and edges go
+    only into interned shapes.
     """
     if limits is None:
         limits = ExplorationLimits()
     root_t = root.columns
+    # each shape's id is its place in intern, so its keys are the vertices
     intern: dict[tuple[int, ...], int] = {root_t: 0}
-    verts: list[tuple[int, ...]] = [root_t]
     depths: list[int] = [0]
-    # children[u] is the set of shapes one move away from verts[u]
-    children: list[set[tuple[int, ...]]] = []
+    edges: list[tuple[int, int]] = []
+    sink_ids: list[int] = []
     frontier: list[tuple[int, ...]] = [root_t]
     truncated = False
     depth = 0
     while frontier:
+        first = len(intern) - len(frontier)  # the frontier's ids run on from here
         level = [{child for _, _, child in _fire(t, model)} for t in frontier]
-        children.extend(level)
         fresh = sorted(set().union(*level) - intern.keys())
         if fresh and limits.max_depth is not None and depth == limits.max_depth:
             truncated = True
             fresh = []
-        room = limits.max_vertices - len(verts)
+        room = limits.max_vertices - len(intern)
         if len(fresh) > room:
             truncated = True
             fresh = fresh[: max(room, 0)]
         for t in fresh:
-            intern[t] = len(verts)
-            verts.append(t)
+            intern[t] = len(intern)
             depths.append(depth + 1)
+        for u, kids in enumerate(level, first):
+            if not kids:
+                sink_ids.append(u)
+            if truncated:
+                kids &= intern.keys()
+            edges += [(u, v) for v in sorted(map(intern.get, kids))]
         frontier = fresh
         depth += 1
-    # children still tells sinks apart, so the children a limit kept out
-    # of the graph are dropped from a copy
-    kept = [kids & intern.keys() for kids in children] if truncated else children
-    edges = [(u, v) for u, kids in enumerate(kept) for v in sorted(map(intern.get, kids))]
     return OrbitGraph(
         model=model,
         root=root,
         # the root's columns passed the checks, and _fire's children are
         # trimmed positive ints (see Configuration._trusted)
-        vertices=tuple(map(Configuration._trusted, verts)),
+        vertices=tuple(map(Configuration._trusted, intern)),
         edges=tuple(edges),
         depths=tuple(depths),
-        sink_ids=tuple(u for u, kids in enumerate(children) if not kids),
+        sink_ids=tuple(sink_ids),
         truncated=truncated,
     )
 
@@ -300,14 +305,12 @@ def lattice_check(g: OrbitGraph) -> bool:
     rank = [0] * m
     for r, u in enumerate(order):
         rank[u] = r
-    out_r: list[list[int]] = [[] for _ in range(m)]
-    for u, v in g.edges:
-        out_r[rank[u]].append(rank[v])
+    outs = g.out_lists
     desc = [0] * m
     for r in range(m - 1, -1, -1):
         acc = 1 << r
-        for s in out_r[r]:
-            acc |= desc[s]
+        for v in outs[order[r]]:
+            acc |= desc[rank[v]]
         desc[r] = acc
     # Rank 0 is a source, and every vertex of a DAG descends from some
     # source, so it is the only one exactly when everything descends
@@ -346,10 +349,8 @@ class VerificationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _top_width(cols: tuple[int, ...]) -> int:
-    # structure.top(c).size: from the first to the last maximal column
-    mx = max(cols)
-    return len(cols) - cols[::-1].index(mx) - cols.index(mx)
+def _judged(name: str, failure: str | None) -> CheckResult:
+    return CheckResult(name, "fail", failure) if failure else CheckResult(name, "pass")
 
 
 def verify(g: OrbitGraph) -> VerificationReport:
@@ -360,26 +361,16 @@ def verify(g: OrbitGraph) -> VerificationReport:
     census) only apply to complete graphs grown from a single column, so
     they are reported as skipped on truncated graphs or other roots.
     """
-    checks: list[CheckResult] = []
-
     energies = [energy(v) for v in g.vertices]
-    bad_edge = next(((u, v) for u, v in g.edges if energies[u] <= energies[v]), None)
-    if bad_edge is None:
-        checks.append(CheckResult("energy-decrease", "pass"))
-    else:
-        u, v = bad_edge
-        checks.append(
-            CheckResult(
-                "energy-decrease",
-                "fail",
-                f"edge ({g.vertices[u]}) -> ({g.vertices[v]}) does not drop",
-            )
-        )
-
-    if g.topo_order is None:
-        checks.append(CheckResult("acyclic", "fail", "cycle detected"))
-    else:
-        checks.append(CheckResult("acyclic", "pass"))
+    rises = (
+        f"edge ({g.vertices[u]}) -> ({g.vertices[v]}) does not drop"
+        for u, v in g.edges
+        if energies[u] <= energies[v]
+    )
+    checks = [
+        _judged("energy-decrease", next(rises, None)),
+        _judged("acyclic", "cycle detected" if g.topo_order is None else None),
+    ]
 
     skip = None
     if g.truncated:
@@ -392,46 +383,28 @@ def verify(g: OrbitGraph) -> VerificationReport:
         return VerificationReport(tuple(checks))
 
     # Either predicate implies a monotone split (a non-increasing shape
-    # splits at t = 0, and sspm_member searches the splits), so a vertex
-    # without one is among those that fail membership, and the first of
-    # them is the first in id order.
+    # splits at t = 0, and sspm_member searches the splits) and a top at
+    # most bound wide: each zone of a crazed split is monotone with no
+    # height three times in a row, so at most two of its columns, next to
+    # the cut, reach the maximum.  So a vertex without a split, or with a
+    # wider top, fails membership, and the first such vertex in failed is
+    # the first in id order.
     member = spm_member if g.model is Model.SPM else sspm_member
-    failed = [v for v in g.vertices if not member(v)]
-    witness = next((v for v in failed if not _split_cuts(v.columns)), None)
-    checks.append(
-        CheckResult("lr-decomposable", "pass")
-        if witness is None
-        else CheckResult("lr-decomposable", "fail", f"({witness}) has no monotone split")
-    )
-    checks.append(
-        CheckResult("membership", "fail", f"({failed[0]}) fails the predicate")
-        if failed
-        else CheckResult("membership", "pass")
-    )
-
     bound = 4 if g.model is Model.SSPM else 2
-    witness = next((v for v in g.vertices if _top_width(v.columns) > bound), None)
-    checks.append(
-        CheckResult("top-width", "pass")
-        if witness is None
-        else CheckResult("top-width", "fail", f"({witness}) has top wider than {bound}")
-    )
-
+    failed = [v for v in g.vertices if not member(v)]
+    splitless = (f"({v}) has no monotone split" for v in failed if not lr_splits(v))
+    wide = (f"({v}) has top wider than {bound}" for v in failed if top(v).size > bound)
     n = g.root.grains
     got = sorted(sinks(g))
-    if g.model is Model.SPM:
-        want = [spm_fixed_point(n)]
-    else:
-        want = list(enumerate_fixed_points(n))
-    checks.append(
-        CheckResult("sink-census", "pass")
-        if got == want
-        else CheckResult(
-            "sink-census",
-            "fail",
-            f"found {len(got)} sinks, expected {len(want)}",
-        )
-    )
+    want = [spm_fixed_point(n)] if g.model is Model.SPM else list(enumerate_fixed_points(n))
+    checks += [
+        _judged("lr-decomposable", next(splitless, None)),
+        _judged("membership", f"({failed[0]}) fails the predicate" if failed else None),
+        _judged("top-width", next(wide, None)),
+        _judged(
+            "sink-census", f"found {len(got)} sinks, expected {len(want)}" if got != want else None
+        ),
+    ]
     return VerificationReport(tuple(checks))
 
 
@@ -475,12 +448,12 @@ class SinkCensus(NamedTuple):
     truncated: bool
 
 
-def _int_type(top: int, root: tuple[int, ...]) -> type:
-    # The narrowest signed integer type that holds -top..top.
+def _int_type(peak: int, root: tuple[int, ...]) -> type:
+    # The narrowest signed integer type that holds -peak..peak.
     for t in (np.int8, np.int16, np.int32, np.int64):
-        if top <= np.iinfo(t).max:
+        if peak <= np.iinfo(t).max:
             return t
-    raise OverflowError(f"no numpy integer type holds {top}, as the rows of {root} need")
+    raise OverflowError(f"no numpy integer type holds {peak}, as the rows of {root} need")
 
 
 def _spm_tables(width: int, signed: np.dtype) -> tuple[np.ndarray, np.ndarray]:

@@ -98,6 +98,50 @@ def naive_census(
     return len(seen), tuple(sorted(dead)), depth, truncated
 
 
+def naive_build(cols: tuple[int, ...], model: str, limits) -> tuple[
+    tuple[tuple[int, ...], ...],
+    tuple[tuple[int, int], ...],
+    tuple[int, ...],
+    tuple[int, ...],
+    bool,
+]:
+    """The orbit graph a capped breadth-first build should report:
+    (vertices in id order, edges, depths, sink ids, truncated).
+
+    First the kept shapes are chosen, level by level: each level's new
+    shapes are taken in lexicographic order, none once the depth limit is
+    reached and only the first that still fit under the vertex limit,
+    and every kept shape is expanded.  Only then are sinks and edges read
+    off the kept shapes from the rule itself: a kept shape with no
+    successor at all is a sink, wherever its successors went, and an edge
+    joins two kept shapes one move apart.
+    """
+    order = [cols]
+    depth_of = {cols: 0}
+    level = [cols]
+    truncated = False
+    while level:
+        depth = depth_of[level[0]]
+        new = sorted({d for c in level for d in naive_successors(c, model)} - set(depth_of))
+        if new and limits.max_depth is not None and depth >= limits.max_depth:
+            truncated = True
+            new = []
+        while new and len(order) + len(new) > limits.max_vertices:
+            truncated = True
+            new.pop()
+        for d in new:
+            depth_of[d] = depth + 1
+            order.append(d)
+        level = new
+    ids = {c: i for i, c in enumerate(order)}
+    edges = sorted(
+        (ids[c], ids[d]) for c in order for d in naive_successors(c, model) if d in ids
+    )
+    sink_ids = tuple(i for i, c in enumerate(order) if not naive_successors(c, model))
+    depths = tuple(depth_of[c] for c in order)
+    return tuple(order), tuple(edges), depths, sink_ids, truncated
+
+
 def naive_crazed(cols: tuple[int, ...]) -> bool:
     """Plateau discipline by pair positions: every two consecutive equal
     pairs need a jump of at least 2 strictly between them."""

@@ -10,7 +10,7 @@ from itertools import accumulate
 import numpy as np
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sandpiles import (
@@ -39,6 +39,7 @@ from sandpiles.orbit import _sspm_key_tables
 
 from conftest import (
     compositions,
+    naive_build,
     naive_census,
     naive_is_lattice,
     naive_orbit,
@@ -347,6 +348,16 @@ class TestVerify:
             CheckResult("membership", "fail", "(1,1,1,1,1) fails the predicate"),
             CheckResult("top-width", "fail", "(1,1,1,1,1) has top wider than 4"),
             CheckResult("sink-census", "fail", "found 1 sinks, expected 2"),
+        )
+
+    def test_top_width_witness_is_searched_past_the_first_failed_member(self):
+        # (2,1,2) fails membership first but its top is one column wide;
+        # the first vertex with a top wider than 4 is the later (1,1,1,1,1)
+        g = self.fabricated(Model.SSPM, (5,), [(5,), (2, 1, 2), (1, 1, 1, 1, 1)], ())
+        assert verify(g).checks[2:5] == (
+            CheckResult("lr-decomposable", "fail", "(2,1,2) has no monotone split"),
+            CheckResult("membership", "fail", "(2,1,2) fails the predicate"),
+            CheckResult("top-width", "fail", "(1,1,1,1,1) has top wider than 4"),
         )
 
     def test_wide_tops_fail_with_the_first_in_id_order(self):
@@ -796,8 +807,7 @@ def test_build_and_census_match_naive_bfs_on_multi_column_roots(cols, model):
 
 
 # 1-4 columns, at most 14 grains, under no limit, a vertex cap or a depth cap
-@settings(deadline=None)
-@given(
+capped_builds = (
     st.lists(st.integers(1, 14), min_size=1, max_size=4).map(tuple).filter(lambda t: sum(t) <= 14),
     st.sampled_from([Model.SPM, Model.SSPM]),
     st.one_of(
@@ -806,6 +816,27 @@ def test_build_and_census_match_naive_bfs_on_multi_column_roots(cols, model):
         st.builds(ExplorationLimits, max_depth=st.integers(0, 8)),
     ),
 )
+
+
+@settings(deadline=None)
+@given(*capped_builds)
+# the root is cut off from its one child but still has a move, so it is
+# no sink
+@example((2,), Model.SPM, ExplorationLimits(max_vertices=1))
+def test_build_matches_naive_build_under_limits(cols, model, limits):
+    g = build(C(cols), model, limits)
+    verts, edges, depths, sink_ids, truncated = naive_build(
+        cols, model.value, limits or ExplorationLimits()
+    )
+    assert tuple(v.columns for v in g.vertices) == verts
+    assert g.edges == edges
+    assert g.depths == depths
+    assert g.sink_ids == sink_ids
+    assert g.truncated == truncated
+
+
+@settings(deadline=None)
+@given(*capped_builds)
 def test_build_interns_only_shapes_the_constructor_accepts(cols, model, limits):
     # build wraps its vertices with Configuration._trusted, skipping the
     # checks; each must be a tuple of plain ints that the checked
