@@ -160,7 +160,8 @@ def _root(ns: argparse.Namespace) -> Configuration:
 
 
 def _limits(ns: argparse.Namespace) -> ExplorationLimits:
-    return ExplorationLimits(max_vertices=ns.max_vertices)
+    given = {} if ns.max_vertices is None else {"max_vertices": ns.max_vertices}
+    return ExplorationLimits(**given)
 
 
 def _limit_hit(what: str, limits: ExplorationLimits, vertices: int, depth: int) -> int:
@@ -305,7 +306,7 @@ def _parser() -> argparse.ArgumentParser:
         group.add_argument("--config", type=_shape, metavar="H1,H2,...", help="start from an explicit shape")
 
     def add_limit(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-vertices", type=_positive_int, default=5_000_000)
+        p.add_argument("--max-vertices", type=_positive_int)
 
     def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write to this path instead of standard output")

@@ -98,7 +98,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -141,25 +141,26 @@ class OrbitGraph:
 
     Vertex ids are assigned breadth-first, ties broken lexicographically
     on the height sequence, so two builds of the same orbit agree id for
-    id.  Edges are deduplicated per (source, target) shape pair, since
-    distinct moves may produce the same shape; the moves behind an edge
-    can be recovered from its two endpoint shapes.
+    id; the root is vertex 0.  out_lists[u] lists u's children by id,
+    increasing, each once even where two moves make the same shape (the
+    moves behind an edge follow from its endpoints), and edges views them
+    as (source, target) pairs in increasing order.
     """
 
     model: Model
-    root: Configuration
     vertices: tuple[Configuration, ...]
-    edges: tuple[tuple[int, int], ...]
+    out_lists: tuple[tuple[int, ...], ...]
     depths: tuple[int, ...]
     sink_ids: tuple[int, ...]
     truncated: bool
 
+    @property
+    def root(self) -> Configuration:
+        return self.vertices[0]
+
     @cached_property
-    def out_lists(self) -> tuple[tuple[int, ...], ...]:
-        outs: list[list[int]] = [[] for _ in self.vertices]
-        for u, v in self.edges:
-            outs[u].append(v)
-        return tuple(tuple(t) for t in outs)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple((u, v) for u, outs in enumerate(self.out_lists) for v in outs)
 
     @cached_property
     def topo_order(self) -> tuple[int, ...] | None:
@@ -168,7 +169,7 @@ class OrbitGraph:
         # because an edge may point at a shape discovered earlier on
         # another branch.
         indeg = [0] * self.vertex_count
-        for _, v in self.edges:
+        for v in chain.from_iterable(self.out_lists):
             indeg[v] += 1
         ready = [i for i in range(self.vertex_count) if indeg[i] == 0]
         order: list[int] = []
@@ -206,17 +207,16 @@ def build(
     """
     if limits is None:
         limits = ExplorationLimits()
-    root_t = root.columns
-    # each shape's id is its place in intern, so its keys are the vertices
-    intern: dict[tuple[int, ...], int] = {root_t: 0}
+    # a shape's id is its place in intern, whose keys are the vertices, and
+    # in outs, since the shapes are expanded once each, in id order
+    intern: dict[tuple[int, ...], int] = {root.columns: 0}
     depths: list[int] = [0]
-    edges: list[tuple[int, int]] = []
+    outs: list[tuple[int, ...]] = []
     sink_ids: list[int] = []
-    frontier: list[tuple[int, ...]] = [root_t]
+    frontier: list[tuple[int, ...]] = [root.columns]
     truncated = False
     depth = 0
     while frontier:
-        first = len(intern) - len(frontier)  # the frontier's ids run on from here
         level = [{child for _, _, child in _fire(t, model)} for t in frontier]
         fresh = sorted(set().union(*level) - intern.keys())
         if fresh and limits.max_depth is not None and depth == limits.max_depth:
@@ -229,21 +229,20 @@ def build(
         for t in fresh:
             intern[t] = len(intern)
             depths.append(depth + 1)
-        for u, kids in enumerate(level, first):
+        for kids in level:
             if not kids:
-                sink_ids.append(u)
+                sink_ids.append(len(outs))
             if truncated:
                 kids &= intern.keys()
-            edges += [(u, v) for v in sorted(map(intern.get, kids))]
+            outs.append(tuple(sorted(map(intern.get, kids))))
         frontier = fresh
         depth += 1
     return OrbitGraph(
         model=model,
-        root=root,
         # the root's columns passed the checks, and _fire's children are
         # trimmed positive ints (see Configuration._trusted)
         vertices=tuple(map(Configuration._trusted, intern)),
-        edges=tuple(edges),
+        out_lists=tuple(outs),
         depths=tuple(depths),
         sink_ids=tuple(sink_ids),
         truncated=truncated,
@@ -364,7 +363,7 @@ def verify(g: OrbitGraph) -> VerificationReport:
     energies = [energy(v) for v in g.vertices]
     rises = (
         f"edge ({g.vertices[u]}) -> ({g.vertices[v]}) does not drop"
-        for u, v in g.edges
+        for u, outs in enumerate(g.out_lists) for v in outs
         if energies[u] <= energies[v]
     )
     checks = [

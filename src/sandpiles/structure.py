@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from .core import Configuration
 
@@ -58,8 +59,7 @@ class LRSplit:
     right: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FixedPointCensus:
+class FixedPointCensus(NamedTuple):
     """Stable-shape counts for n grains, split by top width.
 
     single_top counts shapes whose maximum is attained by one column,

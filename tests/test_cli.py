@@ -274,6 +274,25 @@ class TestMainWithFiles:
         assert captured.out == ""
         assert captured.err == "error: og((8)) exceeds max_vertices=3: stopped at 3 vertices, depth 1\n"
 
+    @pytest.mark.parametrize("command", ["graph", "count", "verify"])
+    def test_default_vertex_cap_is_the_limits_default(self, command, tmp_path, monkeypatch):
+        from sandpiles import cli
+
+        seen = []
+
+        def spy(explore):
+            def run(root, model, limits=None):
+                seen.append(limits)
+                return explore(root, model, limits)
+
+            return run
+
+        monkeypatch.setattr(cli, "build", spy(cli.build))
+        monkeypatch.setattr(cli, "sink_census", spy(cli.sink_census))
+        rc = main([command, "--n", "3", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_OK
+        assert seen and all(x.max_vertices == ExplorationLimits().max_vertices for x in seen)
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(

@@ -267,9 +267,8 @@ class TestVerify:
     def test_fabricated_edge_fails_with_witness(self):
         bad = OrbitGraph(
             model=Model.SPM,
-            root=C((4,)),
             vertices=(C((4,)), C((3, 1)), C((2, 2)), C((2, 1, 1))),
-            edges=((0, 1), (1, 2), (2, 3), (3, 0)),
+            out_lists=((1,), (2,), (3,), (0,)),
             depths=(0, 1, 2, 3),
             sink_ids=(),
             truncated=False,
@@ -284,9 +283,8 @@ class TestVerify:
         # 1 -> 2 -> 1 is a cycle behind a single source and a single sink
         g = OrbitGraph(
             model=Model.SPM,
-            root=C((4,)),
             vertices=(C((4,)), C((3, 1)), C((2, 2)), C((2, 1, 1))),
-            edges=((0, 1), (1, 2), (2, 1), (2, 3)),
+            out_lists=((1,), (2,), (1, 3), ()),
             depths=(0, 1, 2, 3),
             sink_ids=(3,),
             truncated=False,
@@ -301,9 +299,8 @@ class TestVerify:
         # 1 -> 2 -> 1 with nothing after it: no vertex is a sink
         g = OrbitGraph(
             model=Model.SPM,
-            root=C((4,)),
             vertices=(C((4,)), C((3, 1)), C((2, 2))),
-            edges=((0, 1), (1, 2), (2, 1)),
+            out_lists=((1,), (2,), (1,)),
             depths=(0, 1, 2),
             sink_ids=(),
             truncated=False,
@@ -314,14 +311,13 @@ class TestVerify:
         assert not lattice_check(g)
 
     @staticmethod
-    def fabricated(model, root, vertices, sink_ids):
+    def fabricated(model, vertices, sink_ids):
         # an edgeless graph grown from a single column, so that energy and
         # acyclicity pass and the shape checks judge vertices alone
         return OrbitGraph(
             model=model,
-            root=C(root),
             vertices=tuple(C(v) for v in vertices),
-            edges=(),
+            out_lists=((),) * len(vertices),
             depths=(0,) * len(vertices),
             sink_ids=sink_ids,
             truncated=False,
@@ -329,7 +325,7 @@ class TestVerify:
 
     def test_valleys_fail_with_the_first_in_id_order(self):
         # (3,1,3) comes before (2,1,2) by id but after it by shape
-        g = self.fabricated(Model.SSPM, (5,), [(5,), (3, 1, 3), (2, 1, 2), (1, 2, 1, 1)], (3,))
+        g = self.fabricated(Model.SSPM, [(5,), (3, 1, 3), (2, 1, 2), (1, 2, 1, 1)], (3,))
         assert verify(g).checks == (
             CheckResult("energy-decrease", "pass"),
             CheckResult("acyclic", "pass"),
@@ -342,7 +338,7 @@ class TestVerify:
     def test_split_witness_is_searched_past_the_first_failed_member(self):
         # (1,1,1,1,1) fails membership but splits at t = 0; the first
         # vertex without a split is the later (2,1,2)
-        g = self.fabricated(Model.SSPM, (5,), [(5,), (1, 1, 1, 1, 1), (2, 1, 2), (1, 2, 1, 1)], (3,))
+        g = self.fabricated(Model.SSPM, [(5,), (1, 1, 1, 1, 1), (2, 1, 2), (1, 2, 1, 1)], (3,))
         assert verify(g).checks[2:] == (
             CheckResult("lr-decomposable", "fail", "(2,1,2) has no monotone split"),
             CheckResult("membership", "fail", "(1,1,1,1,1) fails the predicate"),
@@ -353,7 +349,7 @@ class TestVerify:
     def test_top_width_witness_is_searched_past_the_first_failed_member(self):
         # (2,1,2) fails membership first but its top is one column wide;
         # the first vertex with a top wider than 4 is the later (1,1,1,1,1)
-        g = self.fabricated(Model.SSPM, (5,), [(5,), (2, 1, 2), (1, 1, 1, 1, 1)], ())
+        g = self.fabricated(Model.SSPM, [(5,), (2, 1, 2), (1, 1, 1, 1, 1)], ())
         assert verify(g).checks[2:5] == (
             CheckResult("lr-decomposable", "fail", "(2,1,2) has no monotone split"),
             CheckResult("membership", "fail", "(2,1,2) fails the predicate"),
@@ -363,7 +359,6 @@ class TestVerify:
     def test_wide_tops_fail_with_the_first_in_id_order(self):
         g = self.fabricated(
             Model.SSPM,
-            (5,),
             [(5,), (1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 2, 1), (1, 2, 1, 1)],
             (3, 4),
         )
@@ -377,7 +372,7 @@ class TestVerify:
     def test_spm_checks_use_the_rightward_theory(self):
         # (1,2) splits but is not non-increasing; (1,1,1) is a 3-wide top
         # and a plateau run, and the one SPM sink of 3 grains is (2,1)
-        g = self.fabricated(Model.SPM, (3,), [(3,), (1, 2), (1, 1, 1)], (2,))
+        g = self.fabricated(Model.SPM, [(3,), (1, 2), (1, 1, 1)], (2,))
         assert verify(g).checks[2:] == (
             CheckResult("lr-decomposable", "pass"),
             CheckResult("membership", "fail", "(1,2) fails the predicate"),
@@ -420,9 +415,8 @@ class TestLattice:
         r, a, b, x, y, s = (C((m,)) for m in (7, 6, 5, 4, 3, 2))
         g = OrbitGraph(
             model=Model.SPM,
-            root=r,
             vertices=(r, a, b, x, y, s),
-            edges=((0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)),
+            out_lists=((1, 2), (3, 4), (3, 4), (5,), (5,), ()),
             depths=(0, 1, 1, 2, 2, 3),
             sink_ids=(5,),
             truncated=False,
@@ -461,9 +455,8 @@ def test_lattice_check_matches_naive_lattice_on_random_graphs(graph):
     m, edges = graph
     g = OrbitGraph(
         model=Model.SPM,
-        root=C((1,)),
         vertices=tuple(C((k + 1,)) for k in range(m)),
-        edges=tuple(edges),
+        out_lists=tuple(tuple(v for s, v in edges if s == u) for u in range(m)),
         depths=(0,) * m,
         sink_ids=tuple(u for u in range(m) if all(s != u for s, _ in edges)),
         truncated=False,
@@ -505,6 +498,24 @@ class TestExport:
             "edges": [[0, 1]],
             "sinks": [1],
         }
+
+    def test_edges_and_root_are_views_of_the_adjacency(self):
+        # the diamond of TestLattice.test_diamond_pair_without_meet
+        r, a, b, x, y, s = (C((m,)) for m in (7, 6, 5, 4, 3, 2))
+        g = OrbitGraph(
+            model=Model.SPM,
+            vertices=(r, a, b, x, y, s),
+            out_lists=((1, 2), (3, 4), (3, 4), (5,), (5,), ()),
+            depths=(0, 1, 1, 2, 2, 3),
+            sink_ids=(5,),
+            truncated=False,
+        )
+        pairs = ((0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5))
+        assert g.edges == pairs
+        assert g.root == g.vertices[0] == r
+        doc = json.loads(export(g, "json"))
+        assert doc["root"] == [7]
+        assert [tuple(e) for e in doc["edges"]] == list(pairs)
 
     def test_dot_shape(self):
         text = export(build(C((2,)), Model.SSPM), "dot").decode()

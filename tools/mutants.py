@@ -194,8 +194,8 @@ MUTANTS = (
         "build-drops-back-edges",
         "build keeps only the edges into vertices with a larger id",
         ORBIT,
-        "for v in sorted(map(intern.get, kids))]",
-        "for v in sorted(map(intern.get, kids)) if v > u]",
+        "outs.append(tuple(sorted(map(intern.get, kids))))",
+        "outs.append(tuple(v for v in sorted(map(intern.get, kids)) if v > len(outs)))",
         ("tests/test_orbit.py::test_build_and_census_match_naive_bfs_on_multi_column_roots",),
     ),
     Mutant(
@@ -204,7 +204,7 @@ MUTANTS = (
         ORBIT,
         "vertices=tuple(map(Configuration._trusted, intern)),",
         "vertices=tuple(Configuration._trusted(t + (0,)) for t in intern),",
-        ("tests/test_orbit.py::test_build_interns_only_shapes_the_constructor_accepts",),
+        ("tests/test_orbit.py::TestBuild::test_sspm_from_four_exact_graph",),
     ),
     Mutant(
         "build-sinks-after-cut",
@@ -212,14 +212,22 @@ MUTANTS = (
         "vertex whose every child was cut off is reported as fixed",
         ORBIT,
         "            if not kids:\n"
-        "                sink_ids.append(u)\n"
+        "                sink_ids.append(len(outs))\n"
         "            if truncated:\n"
         "                kids &= intern.keys()\n",
         "            if truncated:\n"
         "                kids &= intern.keys()\n"
         "            if not kids:\n"
-        "                sink_ids.append(u)\n",
+        "                sink_ids.append(len(outs))\n",
         ("tests/test_orbit.py::test_build_matches_naive_build_under_limits",),
+    ),
+    Mutant(
+        "build-unsorted-out-lists",
+        "build lists each vertex's children in set order, not by id",
+        ORBIT,
+        "outs.append(tuple(sorted(map(intern.get, kids))))",
+        "outs.append(tuple(map(intern.get, kids)))",
+        ("tests/test_orbit.py::test_export_bytes_match_the_recorded_digests[sspm_columns-json]",),
     ),
     Mutant(
         "lattice-no-glb-test",
