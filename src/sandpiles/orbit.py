@@ -95,7 +95,6 @@ that side, copies of the edge entry, 0 or n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, count
@@ -144,7 +143,10 @@ class OrbitGraph:
     id; the root is vertex 0.  out_lists[u] lists u's children by id,
     increasing, each once even where two moves make the same shape (the
     moves behind an edge follow from its endpoints), and edges views them
-    as (source, target) pairs in increasing order.
+    as (source, target) pairs in increasing order.  The other views, each
+    computed once: energies and labels hold one value per vertex, and
+    topo_order sorts the ids by falling energy when every edge drops,
+    falling back to Kahn's algorithm otherwise.
     """
 
     model: Model
@@ -160,11 +162,37 @@ class OrbitGraph:
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) for u, outs in enumerate(self.out_lists) for v in outs)
+        return tuple([(u, v) for u, outs in enumerate(self.out_lists) for v in outs])
+
+    @cached_property
+    def energies(self) -> tuple[int, ...]:
+        """Each vertex's energy, in id order."""
+        return tuple(map(energy, self.vertices))
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Each vertex's comma-joined heights, in id order, as both
+        exports print them."""
+        return tuple(map(str, self.vertices))
+
+    @cached_property
+    def _rising_edge(self) -> tuple[int, int] | None:
+        # The first edge, in (source, target) order, whose energy does not
+        # drop, or None when every edge drops.
+        e = self.energies
+        return next(
+            ((u, v) for u, outs in enumerate(self.out_lists) for v in outs if e[u] <= e[v]),
+            None,
+        )
 
     @cached_property
     def topo_order(self) -> tuple[int, ...] | None:
         """The vertex ids in a topological order, or None on a cycle."""
+        if self._rising_edge is None:
+            # Every edge drops in energy, so falling energy is an order,
+            # and vertices of equal energy have no edge between them.
+            e = self.energies
+            return tuple(sorted(range(self.vertex_count), key=e.__getitem__, reverse=True))
         # Kahn's algorithm.  BFS discovery order is not topological here
         # because an edge may point at a shape discovered earlier on
         # another branch.
@@ -360,14 +388,12 @@ def verify(g: OrbitGraph) -> VerificationReport:
     census) only apply to complete graphs grown from a single column, so
     they are reported as skipped on truncated graphs or other roots.
     """
-    energies = [energy(v) for v in g.vertices]
-    rises = (
-        f"edge ({g.vertices[u]}) -> ({g.vertices[v]}) does not drop"
-        for u, outs in enumerate(g.out_lists) for v in outs
-        if energies[u] <= energies[v]
-    )
+    rise = None
+    if g._rising_edge is not None:
+        u, v = g._rising_edge
+        rise = f"edge ({g.vertices[u]}) -> ({g.vertices[v]}) does not drop"
     checks = [
-        _judged("energy-decrease", next(rises, None)),
+        _judged("energy-decrease", rise),
         _judged("acyclic", "cycle detected" if g.topo_order is None else None),
     ]
 
@@ -416,18 +442,20 @@ def export(g: OrbitGraph, fmt: str) -> bytes:
     """
     kind = fmt.strip().lower()
     if kind == "json":
-        # tuples encode as JSON arrays, so nothing is copied into lists
-        doc = {
-            "model": g.model.name,
-            "root": g.root.columns,
-            "truncated": g.truncated,
-            "vertices": [v.columns for v in g.vertices],
-            "edges": g.edges,
-            "sinks": g.sink_ids,
-        }
-        return json.dumps(doc, separators=(",", ":")).encode("ascii")
+        # json.dumps(doc, separators=(",", ":")) of the document, written
+        # out: a label is a vertex's height list without its brackets, and
+        # there is always a vertex, the root
+        labels = g.labels
+        vertices = "],[".join(labels)
+        edges = ",".join([f"[{u},{v}]" for u, v in g.edges])
+        sink_ids = ",".join(map(str, g.sink_ids))
+        return (
+            f'{{"model":"{g.model.name}","root":[{labels[0]}],'
+            f'"truncated":{"true" if g.truncated else "false"},'
+            f'"vertices":[[{vertices}]],"edges":[{edges}],"sinks":[{sink_ids}]}}'
+        ).encode("ascii")
     if kind == "dot":
-        names = [f'"{v}"' for v in g.vertices]
+        names = [f'"{s}"' for s in g.labels]
         lines = ["digraph og {"]
         lines += [f"  {name};" for name in names]
         lines += [f"  {names[u]} -> {names[v]};" for u, v in g.edges]

@@ -156,7 +156,7 @@ def cliffs(c: Configuration, lo: int = 1, hi: int | None = None) -> tuple[int, .
     )
 
 
-def _split_cuts(cols: tuple[int, ...]) -> tuple[int, ...]:
+def _split_cuts(cols: tuple[int, ...]) -> range:
     k = len(cols)
     nondec_upto = 0
     while nondec_upto < k - 1 and cols[nondec_upto] <= cols[nondec_upto + 1]:
@@ -166,7 +166,7 @@ def _split_cuts(cols: tuple[int, ...]) -> tuple[int, ...]:
     while noninc_from > 0 and cols[noninc_from - 1] >= cols[noninc_from]:
         noninc_from -= 1
     # suffix [t+1, k] is non-increasing for every t >= noninc_from
-    return tuple(range(noninc_from, nondec_upto + 2))
+    return range(noninc_from, nondec_upto + 2)
 
 
 def lr_splits(c: Configuration) -> tuple[LRSplit, ...]:
@@ -179,14 +179,9 @@ def lr_splits(c: Configuration) -> tuple[LRSplit, ...]:
     return tuple(LRSplit(t, cols[:t], cols[t:]) for t in _split_cuts(cols))
 
 
-def has_crazed_lr(c: Configuration) -> LRSplit | None:
-    """Find a monotone split whose two zones are both crazed.
-
-    Returns the lowest-cut such split, or None.  Existence is exactly
-    membership in the orbit of the single column with the same grain
-    count under the symmetric rules.
-    """
-    cols = c.columns
+def _crazed_cut(cols: tuple[int, ...]) -> int | None:
+    # The lowest cut t of a monotone split of cols whose two zones are
+    # both crazed, or None.
     cuts = _split_cuts(cols)
     if not cuts:
         return None
@@ -197,7 +192,19 @@ def has_crazed_lr(c: Configuration) -> LRSplit | None:
     t = len(cols) - _crazed_prefix(cols[lo:][::-1])
     if t > _crazed_prefix(cols[:hi]):
         return None
-    return LRSplit(t, cols[:t], cols[t:])
+    return t
+
+
+def has_crazed_lr(c: Configuration) -> LRSplit | None:
+    """Find a monotone split whose two zones are both crazed.
+
+    Returns the lowest-cut such split, or None.  Existence is exactly
+    membership in the orbit of the single column with the same grain
+    count under the symmetric rules.
+    """
+    cols = c.columns
+    t = _crazed_cut(cols)
+    return None if t is None else LRSplit(t, cols[:t], cols[t:])
 
 
 def _non_increasing(cols: tuple[int, ...]) -> bool:
@@ -212,7 +219,7 @@ def spm_member(c: Configuration) -> bool:
 
 def sspm_member(c: Configuration) -> bool:
     """Reachable from the single column under the symmetric rules."""
-    return has_crazed_lr(c) is not None
+    return _crazed_cut(c.columns) is not None
 
 
 def spm_fixed_point(n: int) -> Configuration:

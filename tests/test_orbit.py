@@ -55,6 +55,14 @@ def plain(census):
     return census._replace(sinks=tuple(s.columns for s in census.sinks))
 
 
+def assert_topological(g):
+    """topo_order lists each vertex id once and puts every edge forward."""
+    order = g.topo_order
+    assert sorted(order) == list(range(g.vertex_count))
+    rank = {u: r for r, u in enumerate(order)}
+    assert all(rank[u] < rank[v] for u, v in g.edges)
+
+
 class TestBuild:
     def test_spm_from_four(self):
         g = build(C((4,)), Model.SPM)
@@ -309,6 +317,27 @@ class TestVerify:
         with pytest.raises(ValueError, match="contains a cycle"):
             transient_stats(g)
         assert not lattice_check(g)
+
+    def test_rising_edge_falls_back_to_kahn(self):
+        # (4) -> (3,1) -> (2,2) and (4) -> (2,1,1) -> (2,2): acyclic, but
+        # the last edge rises from energy 5 to 6, so falling energy is no
+        # order and topo_order must come from Kahn's algorithm
+        g = OrbitGraph(
+            model=Model.SPM,
+            vertices=(C((4,)), C((2, 1, 1)), C((3, 1)), C((2, 2))),
+            out_lists=((1, 2), (3,), (3,), ()),
+            depths=(0, 1, 1, 2),
+            sink_ids=(3,),
+            truncated=False,
+        )
+        assert g.energies == (10, 5, 7, 6)
+        assert_topological(g)
+        rep = verify(g)
+        assert rep.checks[:2] == (
+            CheckResult("energy-decrease", "fail", "edge (2,1,1) -> (2,2) does not drop"),
+            CheckResult("acyclic", "pass"),
+        )
+        assert transient_stats(g) == (2, 2)
 
     @staticmethod
     def fabricated(model, vertices, sink_ids):
@@ -863,3 +892,12 @@ def test_energy_decreases_along_every_edge():
         g = build(C((n,)), model)
         for u, v in g.edges:
             assert energy(g.vertices[u]) > energy(g.vertices[v])
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=4).map(tuple).filter(lambda t: sum(t) <= 12),
+    st.sampled_from([Model.SPM, Model.SSPM]),
+)
+def test_topo_order_lists_each_vertex_once_and_every_edge_forward(cols, model):
+    assert_topological(build(C(cols), model))

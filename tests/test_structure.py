@@ -199,11 +199,9 @@ class TestHasCrazedLR:
         assert all(a >= b for a, b in zip(s.right, s.right[1:]))
         assert is_crazed(c, 1, s.t) and is_crazed(c, s.t + 1, c.width)
 
-    @settings(max_examples=500)
-    @given(shapes)
-    def test_lowest_cut_against_definition(self, c):
+    @staticmethod
+    def lowest_crazed_split(cols):
         # every cut tried in turn, each zone judged by the pair-position oracle
-        cols = c.columns
         want = next(
             (
                 t
@@ -215,11 +213,22 @@ class TestHasCrazedLR:
             ),
             None,
         )
-        s = has_crazed_lr(c)
-        if want is None:
-            assert s is None
-        else:
-            assert s == LRSplit(want, cols[:want], cols[want:])
+        return None if want is None else LRSplit(want, cols[:want], cols[want:])
+
+    @settings(max_examples=500)
+    @given(shapes)
+    def test_lowest_cut_against_definition(self, c):
+        assert has_crazed_lr(c) == self.lowest_crazed_split(c.columns)
+
+    def test_every_small_composition_against_definition_and_membership(self):
+        # sspm_member tests the same cut search for None without building
+        # the split; both must agree with the definition on every shape
+        for n in range(1, 13):
+            for cols in compositions(n):
+                c = C(cols)
+                s = has_crazed_lr(c)
+                assert s == self.lowest_crazed_split(cols), cols
+                assert sspm_member(c) == (s is not None), cols
 
 
 class TestMembership:

@@ -276,6 +276,22 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "topo-order-rising-energy",
+        "topo_order sorts the vertices by rising energy, not falling",
+        ORBIT,
+        "key=e.__getitem__, reverse=True))",
+        "key=e.__getitem__))",
+        ("tests/test_orbit.py::test_topo_order_lists_each_vertex_once_and_every_edge_forward",),
+    ),
+    Mutant(
+        "topo-order-energy-despite-a-rise",
+        "topo_order returns the energy order even when an edge rises in energy",
+        ORBIT,
+        "        if self._rising_edge is None:\n",
+        "        if True:\n",
+        ("tests/test_orbit.py::TestVerify::test_rising_edge_falls_back_to_kahn",),
+    ),
+    Mutant(
         "plateau-spans-restart",
         "plateau_spans starts a new span at every equal pair",
         STRUCTURE,
@@ -290,8 +306,8 @@ MUTANTS = (
         "json-edges-reversed",
         "the JSON export lists the edges last to first",
         ORBIT,
-        '            "edges": g.edges,\n',
-        '            "edges": g.edges[::-1],\n',
+        '        edges = ",".join([f"[{u},{v}]" for u, v in g.edges])\n',
+        '        edges = ",".join([f"[{u},{v}]" for u, v in g.edges[::-1]])\n',
         ("tests/test_orbit.py::test_export_bytes_match_the_recorded_digests[sspm_columns-json]",),
     ),
 )
