@@ -84,11 +84,12 @@ def count_table(
 
     The search column is filled by an actual sweep for n up to the
     cutoff and left empty beyond it; it holds TRUNCATED where the sweep
-    hit an exploration limit.  The boolean reports whether every row is
-    internally consistent: the two family counts sum to the closed form,
-    the closed form equals isqrt(n), and the sweep (when it ran to the
-    end) found the same number of sinks.  The last item is the first
-    truncated sweep, as (n, census), or None when no limit was hit.
+    hit an exploration limit.  The closed-form total is the sum of the
+    two family counts.  The boolean reports whether every row is
+    internally consistent: the closed form equals isqrt(n), and the
+    sweep (when it ran to the end) found the same number of sinks.  The
+    last item is the first truncated sweep, as (n, census), or None when
+    no limit was hit.
     """
     rows: list[tuple[int, int, int, int, int | str | None]] = []
     ok = True
@@ -103,7 +104,7 @@ def count_table(
                 cut = (n, swept)
         total = census.total
         rows.append((n, census.single_top, census.wide_top, total, searched))
-        if total != isqrt(n) or total != census.single_top + census.wide_top:
+        if total != isqrt(n):
             ok = False
         if isinstance(searched, int) and searched != total:
             ok = False

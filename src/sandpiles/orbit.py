@@ -407,9 +407,9 @@ def verify(g: OrbitGraph) -> VerificationReport:
             checks.append(CheckResult(name, "skipped", skip))
         return VerificationReport(tuple(checks))
 
-    # Either predicate implies a monotone split (a non-increasing shape
-    # splits at t = 0, and sspm_member searches the splits) and a top at
-    # most bound wide: each zone of a crazed split is monotone with no
+    # Both predicates are one search for a crazed monotone split, which
+    # spm_member asks to cut at t = 0, so a member has a split and a top
+    # at most bound wide: each zone of a crazed split is monotone with no
     # height three times in a row, so at most two of its columns, next to
     # the cut, reach the maximum.  So a vertex without a split, or with a
     # wider top, fails membership, and the first such vertex in failed is

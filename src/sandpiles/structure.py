@@ -103,9 +103,10 @@ def _window(cols: tuple[int, ...], lo: int, hi: int | None) -> tuple[int, int]:
     return lo - 1, hi
 
 
-def _crazed_prefix(cols: tuple[int, ...]) -> int:
+def _crazed_prefix(cols: tuple[int, ...], climb: bool = False) -> int:
     # The length of the longest crazed prefix of cols, in one pass over
-    # adjacent pairs.  A plateau is an equal pair and a cliff a pair at
+    # adjacent pairs; with climb, of the longest one that is also
+    # non-decreasing.  A plateau is an equal pair and a cliff a pair at
     # least 2 apart; the scan stops at the first plateau with no cliff
     # since the one before it.  A run of three equal heights is two
     # plateaus with nothing between them, so it stops there too.
@@ -115,6 +116,8 @@ def _crazed_prefix(cols: tuple[int, ...]) -> int:
             if not armed:
                 return i + 1
             armed = False
+        elif climb and x > y:
+            return i + 1
         elif not -2 < x - y < 2:
             armed = True
     return len(cols)
@@ -181,18 +184,12 @@ def lr_splits(c: Configuration) -> tuple[LRSplit, ...]:
 
 def _crazed_cut(cols: tuple[int, ...]) -> int | None:
     # The lowest cut t of a monotone split of cols whose two zones are
-    # both crazed, or None.
-    cuts = _split_cuts(cols)
-    if not cuts:
-        return None
-    # A window inside a crazed window is crazed, so the prefix [1, t] is
-    # crazed up to some t and the suffix [t+1, k] from some t on: take
-    # the lowest cut whose suffix is crazed, then test its prefix.
-    lo, hi = cuts[0], cuts[-1]
-    t = len(cols) - _crazed_prefix(cols[lo:][::-1])
-    if t > _crazed_prefix(cols[:hi]):
-        return None
-    return t
+    # both crazed, or None.  A window inside a non-decreasing crazed
+    # window is one too, so the prefix [1, t] qualifies for t up to some
+    # L and the suffix [t+1, k], read backwards, from some t = R on: the
+    # valid cuts are R..L, and the lowest is R unless R > L.
+    t = len(cols) - _crazed_prefix(cols[::-1], climb=True)
+    return t if t <= _crazed_prefix(cols, climb=True) else None
 
 
 def has_crazed_lr(c: Configuration) -> LRSplit | None:
@@ -207,14 +204,10 @@ def has_crazed_lr(c: Configuration) -> LRSplit | None:
     return None if t is None else LRSplit(t, cols[:t], cols[t:])
 
 
-def _non_increasing(cols: tuple[int, ...]) -> bool:
-    return all(cols[i] >= cols[i + 1] for i in range(len(cols) - 1))
-
-
 def spm_member(c: Configuration) -> bool:
     """Reachable from the single column under the rightward rule alone:
-    non-increasing and crazed end to end."""
-    return _non_increasing(c.columns) and is_crazed(c)
+    non-increasing and crazed end to end, a crazed split at t = 0."""
+    return _crazed_cut(c.columns) == 0
 
 
 def sspm_member(c: Configuration) -> bool:

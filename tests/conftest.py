@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from the rule definitions with
 different mechanics than the package (list surgery with explicit padding
-instead of tuple splicing, pair positions instead of run scanning, a
-counting recurrence instead of a sweep), so agreement between the two
-routes actually means something.
+instead of tuple splicing, pair positions instead of run scanning,
+counting recurrences instead of a sweep, a left-to-right reader instead
+of scans from both ends), so agreement between the two routes actually
+means something.
 """
 
 from __future__ import annotations
@@ -189,6 +190,67 @@ def spm_orbit_size(n: int) -> int:
     non-increasing crazed shapes of n grains by a recurrence, with no
     dynamics involved."""
     return sum(_extensions(n - h, h, 1, True) for h in range(1, n + 1))
+
+
+# The symmetric rules reach exactly the shapes that read, left to right,
+# as a non-decreasing crazed zone and then a non-increasing crazed one;
+# the pair across the cut belongs to neither zone.  A reader of such a
+# shape is in one of four states: a zone, and whether that zone may
+# still take a plateau (none since its last cliff).  Since the cut may
+# fall anywhere, the recurrence carries the set of states some cut
+# leaves alive, as bits.
+LEFT_ARMED, LEFT_SPENT, RIGHT_ARMED, RIGHT_SPENT = 1, 2, 4, 8
+FIRST_COLUMN = LEFT_ARMED | RIGHT_ARMED  # the cut after it, or before it
+
+
+def _sspm_step(states: int, h: int, h2: int) -> int:
+    # The states alive once a column of height h2 follows one of height h.
+    out = RIGHT_ARMED if states & (LEFT_ARMED | LEFT_SPENT) else 0  # cut between
+    for armed, spent, monotone in (
+        (LEFT_ARMED, LEFT_SPENT, h <= h2),
+        (RIGHT_ARMED, RIGHT_SPENT, h >= h2),
+    ):
+        live = states & (armed | spent)
+        if not (monotone and live):
+            continue
+        if h == h2:
+            if states & armed:
+                out |= spent
+        elif abs(h - h2) >= 2:
+            out |= armed
+        else:
+            out |= live
+    return out
+
+
+@lru_cache(maxsize=None)
+def _sspm_tails(rem: int, h: int, states: int, flat: bool) -> int:
+    # Count the tails holding `rem` more grains that can follow a column
+    # of height h, read in the (non-empty) set `states`, and leave some
+    # state alive.  `flat` allows only steps of at most 1 and an end at
+    # height 1.  Each zone is monotone with no height three times, so a
+    # live shape has O(sqrt(n)) columns and the recursion stays shallow.
+    total = int(rem == 0 and (not flat or h == 1))
+    heights = range(max(1, h - 1), min(h + 1, rem) + 1) if flat else range(1, rem + 1)
+    for h2 in heights:
+        alive = _sspm_step(states, h, h2)
+        if alive:
+            total += _sspm_tails(rem - h2, h2, alive, flat)
+    return total
+
+
+def sspm_orbit_size(n: int) -> int:
+    """How many shapes the symmetric rules can reach from (n): counts the
+    shapes of n grains with a crazed monotone split by a recurrence over
+    (grains left, last height, live states), with no dynamics involved."""
+    return sum(_sspm_tails(n - h, h, FIRST_COLUMN, False) for h in range(1, n + 1))
+
+
+def sspm_stable_count(n: int) -> int:
+    """How many of those shapes are stable under the symmetric rules: the
+    same recurrence over shapes that start and end at height 1 and step
+    by at most 1, so that no column can shed a grain either way."""
+    return _sspm_tails(n - 1, 1, FIRST_COLUMN, True)
 
 
 def naive_is_lattice(m: int, edges) -> bool:

@@ -12,7 +12,7 @@ from math import isqrt
 
 import pytest
 
-from conftest import compositions, spm_orbit_size
+from conftest import compositions, spm_orbit_size, sspm_orbit_size
 from sandpiles import (
     Configuration,
     Model,
@@ -32,6 +32,7 @@ from sandpiles import (
     sinks,
     spm_fixed_point,
     spm_member,
+    sspm_member,
     top,
 )
 from sandpiles.cli import main as cli_main
@@ -167,6 +168,17 @@ def test_06_membership_matches_reachability(sspm_graphs_20):
         "membership predicates equal the reachable sets from (n)",
         detail or f"{elapsed:.1f}s",
     )
+
+
+def test_06_extends_to_20_grains_by_counting(sspm_graphs_20):
+    # Every reached shape is a member, and there are as many as the
+    # counting recurrence finds members, so reached equals members.
+    bad = [
+        n
+        for n, g in sspm_graphs_20.items()
+        if not all(map(sspm_member, g.vertices)) or g.vertex_count != sspm_orbit_size(n)
+    ]
+    report(6, not bad, "og((n), SSPM) holds every member for n <= 20", f"bad n: {bad}" if bad else "")
 
 
 def test_07_energy_descends_below_the_peak(sspm_graphs_20):

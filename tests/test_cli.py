@@ -15,6 +15,7 @@ from sandpiles import (
     Configuration,
     ExplorationLimits,
     Model,
+    OrbitGraph,
     build,
     enumerate_fixed_points,
     export,
@@ -238,6 +239,54 @@ class TestMainWithFiles:
         for n, _, _, closed, search in rows:
             # og((n)) under SSPM has more than 5 vertices from n = 4 on
             assert search == (TRUNCATED if int(n) >= 4 else closed)
+
+    def test_count_exits_1_when_a_sweep_misses_a_sink(self, tmp_path, monkeypatch):
+        from sandpiles import cli
+
+        real = cli.sink_census
+
+        def one_short(root, model, limits=None):
+            census = real(root, model, limits)
+            return census._replace(sinks=census.sinks[:-1]) if root.grains == 5 else census
+
+        monkeypatch.setattr(cli, "sink_census", one_short)
+        out = tmp_path / "c.csv"
+        rc = main(["count", "--n", "6", "--bfs-cutoff", "6", "--format", "csv", "--out", str(out)])
+        assert rc == EXIT_MISMATCH
+        assert out.read_text().split("\n")[5] == "5,2,0,2,1"
+
+    def test_count_exits_1_when_the_closed_form_is_not_isqrt(self, tmp_path, monkeypatch):
+        from sandpiles import cli
+
+        real = cli.fixed_point_counts
+
+        def one_over(n, include_shapes=False):
+            census = real(n, include_shapes)
+            return census._replace(wide_top=census.wide_top + 1) if n == 7 else census
+
+        monkeypatch.setattr(cli, "fixed_point_counts", one_over)
+        out = tmp_path / "c.csv"
+        rc = main(["count", "--n", "8", "--bfs-cutoff", "0", "--format", "csv", "--out", str(out)])
+        assert rc == EXIT_MISMATCH
+        assert out.read_text().split("\n")[7] == "7,0,3,3,"
+
+    def test_verify_exits_1_on_a_failing_report(self, tmp_path, monkeypatch):
+        from sandpiles import cli
+
+        # acyclic, but the edge (2,1,1) -> (2,2) rises from energy 5 to 6
+        rising = OrbitGraph(
+            model=Model.SPM,
+            vertices=(C((4,)), C((2, 1, 1)), C((3, 1)), C((2, 2))),
+            out_lists=((1, 2), (3,), (3,), ()),
+            depths=(0, 1, 1, 2),
+            sink_ids=(3,),
+            truncated=False,
+        )
+        monkeypatch.setattr(cli, "build", lambda root, model, limits=None: rising)
+        out = tmp_path / "v.txt"
+        rc = main(["verify", "--n", "4", "--model", "spm", "--out", str(out)])
+        assert rc == EXIT_MISMATCH
+        assert "energy-decrease: fail" in out.read_text()
 
     def test_profile_table(self, capsys):
         rc = main(["profile", "--n", "8", "--model", "spm"])

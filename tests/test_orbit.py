@@ -44,6 +44,7 @@ from conftest import (
     naive_is_lattice,
     naive_orbit,
     spm_orbit_size,
+    sspm_orbit_size,
 )
 
 C = Configuration
@@ -583,6 +584,12 @@ class TestSinkCensus:
             census = sink_census(C((n,)), Model.SPM)
             assert census.vertex_count == spm_orbit_size(n), n
             assert census.sinks == (spm_fixed_point(n),)
+
+    def test_sspm_lane_matches_counting_recurrence(self):
+        # past the (1)..(24) of the acceptance sweep, by shape structure
+        for n in range(1, 33):
+            census = sink_census(C((n,)), Model.SSPM)
+            assert census.vertex_count == sspm_orbit_size(n), n
 
     def test_wide_roots(self):
         for cols in [(6, 1, 6), (9, 2), (4, 4, 4)]:

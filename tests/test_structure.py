@@ -29,7 +29,13 @@ from sandpiles import (
     top,
 )
 
-from conftest import compositions, naive_crazed, naive_orbit
+from conftest import (
+    compositions,
+    naive_crazed,
+    naive_orbit,
+    sspm_orbit_size,
+    sspm_stable_count,
+)
 
 C = Configuration
 
@@ -246,6 +252,23 @@ class TestMembership:
                 assert sspm_member(c) == (cols in reachable_sym), cols
                 assert spm_member(c) == (cols in reachable_right), cols
 
+    def test_spm_every_small_composition_against_definition(self):
+        # spm_member is the crazed split search at t = 0
+        for n in range(1, 15):
+            for cols in compositions(n):
+                c = C(cols)
+                s = has_crazed_lr(c)
+                falls = all(a >= b for a, b in zip(cols, cols[1:]))
+                assert spm_member(c) == (falls and naive_crazed(cols)), cols
+                assert spm_member(c) == (s is not None and s.t == 0), cols
+
+    def test_sspm_counting_recurrences_against_compositions(self):
+        for n in range(1, 17):
+            members = [c for c in map(C, compositions(n)) if sspm_member(c)]
+            assert sspm_orbit_size(n) == len(members), n
+            stable = sum(is_fixed_point(c, Model.SSPM) for c in members)
+            assert sspm_stable_count(n) == stable, n
+
     def test_members_split_and_have_narrow_tops(self):
         # verify seeks its lr-decomposable and top-width witnesses only
         # among the vertices that fail membership, which this makes sound
@@ -317,6 +340,12 @@ class TestCounting:
             narrow = sum(1 for f in fps if top(f).size == 1)
             assert narrow == fc.single_top, n
             assert len(fps) - narrow == fc.wide_top, n
+
+    def test_square_root_law_by_counting_recurrence(self):
+        # a route to the law that shares nothing with the closed form or
+        # the flank templates: count the stable members by a recurrence
+        for n in range(1, 1001):
+            assert sspm_stable_count(n) == isqrt(n) == fixed_point_counts(n).total, n
 
     @settings(max_examples=30)
     @given(st.integers(1, 10**9))

@@ -51,6 +51,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+CLI = "src/sandpiles/cli.py"
 CORE = "src/sandpiles/core.py"
 ORBIT = "src/sandpiles/orbit.py"
 STRUCTURE = "src/sandpiles/structure.py"
@@ -309,6 +310,52 @@ MUTANTS = (
         '        edges = ",".join([f"[{u},{v}]" for u, v in g.edges])\n',
         '        edges = ",".join([f"[{u},{v}]" for u, v in g.edges[::-1]])\n',
         ("tests/test_orbit.py::test_export_bytes_match_the_recorded_digests[sspm_columns-json]",),
+    ),
+    Mutant(
+        "crazed-cut-no-climb-stop",
+        "the membership scans read a descent as part of a climbing zone",
+        STRUCTURE,
+        "        elif climb and x > y:\n            return i + 1\n",
+        "",
+        (
+            "tests/test_structure.py::TestHasCrazedLR::"
+            "test_every_small_composition_against_definition_and_membership",
+        ),
+    ),
+    Mutant(
+        "crazed-cut-last-cut-refused",
+        "the cut search refuses a split whose lowest cut is also its highest",
+        STRUCTURE,
+        "    return t if t <= _crazed_prefix(cols, climb=True) else None\n",
+        "    return t if t < _crazed_prefix(cols, climb=True) else None\n",
+        ("tests/test_structure.py::TestHasCrazedLR::test_lowest_cut_against_definition",),
+    ),
+    Mutant(
+        "spm-member-any-cut",
+        "spm_member accepts a crazed split at any cut, not only at t = 0",
+        STRUCTURE,
+        "    return _crazed_cut(c.columns) == 0\n",
+        "    return _crazed_cut(c.columns) is not None\n",
+        ("tests/test_orbit.py::TestVerify::test_spm_checks_use_the_rightward_theory",),
+    ),
+    Mutant(
+        "count-mismatch-exits-0",
+        "count exits 0 when a row disagrees",
+        CLI,
+        "    if not ok:\n        return EXIT_MISMATCH\n",
+        "    if not ok:\n        return EXIT_OK\n",
+        (
+            "tests/test_cli.py::TestMainWithFiles::test_count_exits_1_when_a_sweep_misses_a_sink",
+            "tests/test_cli.py::TestMainWithFiles::test_count_exits_1_when_the_closed_form_is_not_isqrt",
+        ),
+    ),
+    Mutant(
+        "verify-mismatch-exits-0",
+        "verify exits 0 on a failing report",
+        CLI,
+        "return EXIT_OK if report.ok else EXIT_MISMATCH",
+        "return EXIT_OK",
+        ("tests/test_cli.py::TestMainWithFiles::test_verify_exits_1_on_a_failing_report",),
     ),
 )
 
