@@ -148,7 +148,12 @@ def _emit(payload: str | bytes, out: str | None) -> None:
     if isinstance(payload, str):
         payload = payload.encode()
     if out is not None:
-        Path(out).write_bytes(payload)
+        try:
+            Path(out).write_bytes(payload)
+        except OSError as err:
+            # A path that cannot be written is a usage error, not a mismatch.
+            print(f"error: cannot write --out {out}: {err.strerror}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE) from None
         return
     sys.stdout.buffer.write(payload)
     if not payload.endswith(b"\n"):
@@ -359,10 +364,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         ns = _parser().parse_args(argv)
+        return ns.run(ns)
     except SystemExit as stop:
-        # argparse already printed usage; normalize its code
+        # argparse or _emit already printed the error; normalize its code
         return EXIT_USAGE if stop.code not in (0, None) else EXIT_OK
-    return ns.run(ns)
 
 
 if __name__ == "__main__":

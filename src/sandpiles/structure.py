@@ -10,13 +10,15 @@ from a single column, without running any dynamics:
 
 Fixed points admit closed-form counts: n grains leave isqrt(n) distinct
 stable shapes, split between those with a one-column top and those with a
-two-column top.  ``enumerate_fixed_points`` materialises them directly
-from staircase templates, never by search, so orbit explorations can be
-checked against an independent route: each shape is a left flank joined
-to a right flank, both taken from tables kept per top height.  Each
-family comes out in lexicographic order, and one family's shapes fit
-whole into a gap of the other's, so the two are merged by slicing, with
-no sort and no comparison.
+two-column top.  Every stable shape is built from one staircase, h, h-1,
+..., 1 with at most one step doubled, never by search, so orbit
+explorations can be checked against an independent route.  The rightward
+rule's one fixed point is that staircase itself.  A symmetric-rule fixed
+point is a rising staircase to a top one or two columns wide joined to a
+falling one, each flank taken from one table cache kept per top height
+and width.  Each family comes out in lexicographic order, and one
+family's shapes fit whole into a gap of the other's, so the two are
+merged by slicing, with no sort and no comparison.
 """
 
 from __future__ import annotations
@@ -220,16 +222,13 @@ def spm_fixed_point(n: int) -> Configuration:
 
     Write n = p(p+1)/2 + q with 0 <= q <= p (the decomposition is unique).
     The shape is the staircase p, p-1, ..., 1 with the step of height q
-    doubled when q > 0.
+    doubled (none when q = 0), the same staircase that every
+    symmetric-rule fixed point is built from, falling only.
     """
     if n < 1:
         raise ValueError("need at least one grain")
     p = (isqrt(8 * n + 1) - 1) // 2
-    q = n - p * (p + 1) // 2
-    if q == 0:
-        return Configuration(tuple(range(p, 0, -1)))
-    stairs = list(range(p, q, -1)) + [q, q] + list(range(q - 1, 0, -1))
-    return Configuration(tuple(stairs))
+    return Configuration(_stairs(p, n - p * (p + 1) // 2))
 
 
 def fixed_point_counts(n: int, include_shapes: bool = False) -> FixedPointCensus:
@@ -266,60 +265,48 @@ def fixed_point_counts(n: int, include_shapes: bool = False) -> FixedPointCensus
     return FixedPointCensus(n, g1, g2, shapes)
 
 
-# (lefts, rights): the left flanks with the top appended, and the right
-# flanks, both indexed by the doubled step.
-Flanks = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+def _stairs(h: int, j: int) -> tuple[int, ...]:
+    # The staircase h, h-1, ..., 1 with the step of height j doubled: none
+    # when j = 0, and j = h + 1 puts one more step, h + 1, in front.
+    return tuple(range(h, max(j - 1, 0), -1)) + tuple(range(j, 0, -1))
 
 
-# The flank tables depend on the top height alone, which consecutive n
-# share, so each family keeps the tables of its last height.
-@lru_cache(maxsize=1)
-def _single_top_flanks(p: int) -> Flanks:
-    # One-column top: the pyramid 1..p..1 holds p*p grains.  lefts[j] is
-    # the ascending flank 1..p-1 with the step of height j doubled (j = 0
-    # doubles none), the top (p,) appended; rights[j] is the descending
-    # flank p-1..1 with step j doubled.  Slicing the stairs at j,
-    # asc[:j] + asc[j - 1:], doubles step j.
-    asc = tuple(range(1, p))
-    desc = asc[::-1]
-    lefts = tuple(asc[:j] + asc[max(j - 1, 0) :] + (p,) for j in range(p))
-    rights = tuple(desc[: p - j] + desc[p - 1 - j :] for j in range(p))
-    return lefts, rights
+# The flank tables depend on the top height and width alone, which
+# consecutive n share, so the last table of each family is kept.
+@lru_cache(maxsize=2)
+def _flanks(h: int, wide: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # The pyramid 1..h..1 (wide = 0) holds h*h grains, 1..h,h..1 (wide =
+    # 1) h*h+h.  lefts[j] is its rising flank up to the top with step j
+    # doubled and rights[j] its falling flank below the top with step j
+    # doubled; j = 0 doubles none.  Under a two-column top j runs up to
+    # h, and doubling step h widens the top to three columns.
+    js = range(h + wide)
+    lefts = tuple(_stairs(h, j)[::-1] + (h,) * wide for j in js)
+    return lefts, tuple(_stairs(h - 1, j) for j in js)
 
 
-@lru_cache(maxsize=1)
-def _double_top_flanks(q: int) -> Flanks:
-    # Two-column top: the pyramid 1..q,q..1 holds q*q+q grains.  As above
-    # with the top (q, q) in lefts, and j runs up to q: doubling step q
-    # widens the top to three columns.
-    asc = tuple(range(1, q + 1))
-    desc = asc[::-1]
-    lefts = tuple(asc[:j] + asc[max(j - 1, 0) : q - 1] + (q, q) for j in range(q + 1))
-    rights = tuple(desc[1 : q - j + 1] + desc[q - j :] for j in range(q + 1))
-    return lefts, rights
-
-
-def _family(flanks: Flanks, u: int, skip_bare_left: bool) -> list[tuple[int, ...]]:
-    # Every split jl + jr = u of the spare grains over the two flanks, in
-    # lexicographic order: jl = 1, 2, ... and last jl = 0, whose left
-    # flank climbs one step higher than any doubled one at the first
-    # place they differ.
-    lefts, rights = flanks
-    lo, hi = max(0, u - len(rights) + 1), min(len(lefts) - 1, u)
-    shapes = [lefts[j] + rights[u - j] for j in range(max(lo, 1), hi + 1)]
-    if lo == 0 and not skip_bare_left:
-        shapes.append(lefts[0] + rights[u])
+def _family(h: int, wide: int, spare: int) -> list[tuple[int, ...]]:
+    # Every split jl + jr = spare of the grains above the pyramid over the
+    # two flanks, in lexicographic order: jl = 1, 2, ... and last jl = 0,
+    # whose left flank climbs one step higher than any doubled one at the
+    # first place they differ.
+    lefts, rights = _flanks(h, wide)
+    lo, hi = max(0, spare - len(rights) + 1), min(len(lefts) - 1, spare)
+    shapes = [lefts[j] + rights[spare - j] for j in range(max(lo, 1), hi + 1)]
+    # Under a two-column top with spare == h, jl = 0 doubles step h on
+    # the right, 1..h-1,h,h,h,h-1..1: the jl = h shape again.
+    if lo == 0 and not (wide and spare == h):
+        shapes.append(lefts[0] + rights[spare])
     return shapes
 
 
 def _fixed_point_tuples(n: int) -> list[tuple[int, ...]]:
     p = isqrt(n)
     u = n - p * p
-    single = _family(_single_top_flanks(p), u, False)
+    single = _family(p, 0, u)
     q = (isqrt(4 * n + 1) - 1) // 2
-    # at v == q, jl = 0 gives 1..q-1,q,q,q,q-1..1, the jl = q shape
     v = n - q * q - q
-    double = _family(_double_top_flanks(q), v, v == q) if q else []
+    double = _family(q, 1, v)  # empty at n = 1, where q = 0 and v = 1
     # A shape leaves the staircase 1, 2, 3, ... at index jl, where it
     # repeats jl, or at its top (index p or q) when jl = 0.  There it is
     # lower than any shape still on the staircase, so the earlier a shape
@@ -336,18 +323,20 @@ def _fixed_point_tuples(n: int) -> list[tuple[int, ...]]:
 
 def enumerate_fixed_points(n: int) -> tuple[Configuration, ...]:
     """All stable shapes of the symmetric rules on n grains, built from
-    staircase templates and returned in lexicographic order.
+    one staircase and returned in lexicographic order.
 
     The list always has exactly isqrt(n) entries.  Each shape is one
-    concatenation of a left and a right flank from per-height tables.
-    Each family comes out already in lexicographic order, and the two
-    runs are merged without a comparison: one of them fits whole between
-    the last doubled-step shape and the undoubled one of the other (see
-    _fixed_point_tuples).  One collision remains: when the grains above
-    the two-column-top pyramid number exactly its height q, doubling
-    step q on the right flank alone and on the left flank alone both
-    widen the top to the same three columns.  The right-flank template
-    is skipped, so no duplicate is built and no set is needed.
+    concatenation of a left and a right flank, each a staircase with at
+    most one step doubled, read from one cache of tables kept per top
+    height and width.  Each family comes out already in lexicographic
+    order, and the two runs are merged without a comparison: one of them
+    fits whole between the last doubled-step shape and the undoubled one
+    of the other (see _fixed_point_tuples).  One collision remains: when
+    the grains above the two-column-top pyramid number exactly its
+    height q, doubling step q on the right flank alone and on the left
+    flank alone both widen the top to the same three columns.  The
+    right-flank template is skipped, so no duplicate is built and no set
+    is needed.
     """
     if n < 1:
         raise ValueError("need at least one grain")

@@ -170,6 +170,26 @@ def compositions(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(parts)
 
 
+def spm_staircase(n: int) -> tuple[int, ...]:
+    """The rightward rule's stable shape on n grains, from n = p(p+1)/2 + q
+    with 0 <= q <= p: heights p down to 1, height q laid twice."""
+    p = 0
+    while (p + 1) * (p + 2) // 2 <= n:
+        p += 1
+    q = n - p * (p + 1) // 2
+    heights: list[int] = []
+    for h in range(p, 0, -1):
+        heights.extend([h, h] if h == q else [h])
+    return tuple(heights)
+
+
+def spm_firing_length(n: int) -> int:
+    """How many moves every maximal rightward run from (n) makes: each
+    grain right of a border of spm_staircase(n) crossed it once."""
+    cols = spm_staircase(n)
+    return sum(sum(cols[j:]) for j in range(1, len(cols)))
+
+
 @lru_cache(maxsize=None)
 def _extensions(rem: int, h: int, run: int, cliff_clear: bool) -> int:
     # Count the non-increasing crazed tails that can follow a column of

@@ -347,6 +347,28 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["evolve", "--n", "4"],
+            ["graph", "--n", "4"],
+            ["fixpoints", "--n", "4"],
+            ["count", "--n", "4"],
+            ["verify", "--n", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, argv, where):
+        out = tmp_path / "no" / "such" / "f" if where == "missing-dir" else tmp_path
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert str(out) in lines[0]
+        assert not (tmp_path / "no").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             [],
             ["evolve"],
             ["evolve", "--n", "4", "--config", "2,2"],

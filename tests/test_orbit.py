@@ -43,6 +43,7 @@ from conftest import (
     naive_census,
     naive_is_lattice,
     naive_orbit,
+    spm_firing_length,
     spm_orbit_size,
     sspm_orbit_size,
 )
@@ -514,6 +515,13 @@ class TestTransients:
         lengths = list(all_path_lengths(0, 0))
         assert transient_stats(g) == (min(lengths), max(lengths))
 
+    def test_every_spm_run_has_the_firing_length(self):
+        # chip-firing is strongly convergent: every maximal run from (n)
+        # makes the same number of moves, read off the staircase
+        for n in range(1, 16):
+            f = spm_firing_length(n)
+            assert transient_stats(build(C((n,)), Model.SPM)) == (f, f), n
+
 
 class TestExport:
     def test_json_schema_and_field_order(self):
@@ -585,6 +593,12 @@ class TestSinkCensus:
             assert census.vertex_count == spm_orbit_size(n), n
             assert census.sinks == (spm_fixed_point(n),)
 
+    def test_spm_depth_is_the_firing_length(self):
+        # the SPM lane reads its sinks off the last level, which every
+        # maximal run reaches after the same number of moves
+        for n in range(1, 61):
+            assert sink_census(C((n,)), Model.SPM).depth == spm_firing_length(n), n
+
     def test_sspm_lane_matches_counting_recurrence(self):
         # past the (1)..(24) of the acceptance sweep, by shape structure
         for n in range(1, 33):
@@ -630,16 +644,20 @@ class TestSinkCensus:
         assert census.truncated
         assert plain(census) == naive_census((30,), "spm", limits)
 
-    def test_array_lane_matches_python_lane_on_small_roots(self):
+    @pytest.mark.parametrize("model", [Model.SPM, Model.SSPM])
+    def test_matches_naive_census_on_small_roots(self, model):
         # the plain visited-set oracle relies on the dynamics alone, so
-        # agreement on every small root pins down the array lane's
-        # canonical-parent rule: no shape emitted twice, none missed
+        # agreement on every small root pins down the SPM lane's
+        # canonical-parent rule (no shape emitted twice, none missed) and
+        # the SSPM lane's key, its XOR update, the margin columns and the
+        # global dedupe, since every SSPM shape recurs through the sorted
+        # key set, never the rows
         limits = ExplorationLimits()
         for n in range(1, 15):
             for cols in compositions(n):
                 if len(cols) <= 4:
-                    want = naive_census(cols, "spm", limits)
-                    assert plain(sink_census(C(cols), Model.SPM, limits)) == want, cols
+                    want = naive_census(cols, model.value, limits)
+                    assert plain(sink_census(C(cols), model, limits)) == want, cols
 
     def test_spm_rows_widen_at_the_edge(self):
         # rows keep their last column empty and widen by 8 when column
@@ -659,17 +677,6 @@ class TestSinkCensus:
         for cols in [(30,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
             want = naive_census(cols, "spm", limits)
             assert plain(sink_census(C(cols), Model.SPM, limits)) == want, cols
-
-    def test_sspm_array_lane_matches_python_lane_on_small_roots(self):
-        # every shape recurs through the sorted key set, never the rows,
-        # so agreement here pins down the key, its XOR update, the margin
-        # columns and the global dedupe
-        limits = ExplorationLimits()
-        for n in range(1, 15):
-            for cols in compositions(n):
-                if len(cols) <= 4:
-                    want = naive_census(cols, "sspm", limits)
-                    assert plain(sink_census(C(cols), Model.SSPM, limits)) == want, cols
 
     @pytest.mark.parametrize("max_vertices", [1, 50, 1000])
     @pytest.mark.parametrize("max_depth", [None, 0, 3, 40])

@@ -33,6 +33,7 @@ from conftest import (
     compositions,
     naive_crazed,
     naive_orbit,
+    spm_staircase,
     sspm_orbit_size,
     sspm_stable_count,
 )
@@ -306,6 +307,10 @@ class TestSpmFixedPoint:
         for n in range(1, 31):
             dead = naive_orbit((n,), "spm")[2]
             assert dead == {spm_fixed_point(n).columns}
+
+    def test_matches_the_triangular_staircase(self):
+        for n in range(1, 10_001):
+            assert spm_fixed_point(n).columns == spm_staircase(n), n
 
 
 class TestCounting:

@@ -64,7 +64,7 @@ MUTANTS = (
         ORBIT,
         "    keep[q == p - 1] = 1\n",
         "    keep[q == p - 1] = 1 << 8 * signed.itemsize - 1\n",
-        (CENSUS + "test_array_lane_matches_python_lane_on_small_roots",),
+        (CENSUS + "test_matches_naive_census_on_small_roots[spm]",),
     ),
     Mutant(
         "spm-entry-0-offset",
@@ -73,7 +73,7 @@ MUTANTS = (
         "    a[1:] -= 2  # the slopes offset, -c_0 as it is\n",
         "    a -= 2\n",
         (
-            CENSUS + "test_array_lane_matches_python_lane_on_small_roots",
+            CENSUS + "test_matches_naive_census_on_small_roots[spm]",
             CENSUS + "test_agrees_with_full_build[spm]",
         ),
     ),
@@ -125,7 +125,7 @@ MUTANTS = (
         "    bits[0] = bits[1]\n    bits[n] = bits[n - 1]\n    flip = bits[:-1] ^ bits[1:]\n",
         (
             CENSUS + "test_sspm_key_tables_match_the_definition",
-            CENSUS + "test_sspm_array_lane_matches_python_lane_on_small_roots",
+            CENSUS + "test_matches_naive_census_on_small_roots[sspm]",
         ),
     ),
     Mutant(
@@ -134,7 +134,7 @@ MUTANTS = (
         ORBIT,
         '        fresh = seen.take(seen.searchsorted(key), mode="clip") != key\n',
         "        fresh = np.ones(len(key), dtype=bool)\n",
-        (CENSUS + "test_sspm_array_lane_matches_python_lane_on_small_roots",),
+        (CENSUS + "test_matches_naive_census_on_small_roots[sspm]",),
     ),
     Mutant(
         "spm-rows-always-int8",
@@ -337,6 +337,44 @@ MUTANTS = (
         "    return _crazed_cut(c.columns) == 0\n",
         "    return _crazed_cut(c.columns) is not None\n",
         ("tests/test_orbit.py::TestVerify::test_spm_checks_use_the_rightward_theory",),
+    ),
+    Mutant(
+        "stairs-no-doubled-step",
+        "the staircase never doubles a step, so every shape built from it is short of grains",
+        STRUCTURE,
+        "    return tuple(range(h, max(j - 1, 0), -1)) + tuple(range(j, 0, -1))\n",
+        "    return tuple(range(h, j, -1)) + tuple(range(j, 0, -1))\n",
+        (
+            "tests/test_structure.py::TestSpmFixedPoint::test_matches_the_triangular_staircase",
+            "tests/test_structure.py::TestEnumeration::test_golden_digest",
+        ),
+    ),
+    Mutant(
+        "flanks-two-column-top-never-widens",
+        "the flank tables stop short of doubling step h, so no two-column top widens to three",
+        STRUCTURE,
+        "    js = range(h + wide)\n",
+        "    js = range(h)\n",
+        ("tests/test_structure.py::TestCounting::test_counts_classify_by_top_size",),
+    ),
+    Mutant(
+        "family-keeps-the-collision",
+        "the two-column-top family also builds the right-flank twin of the three-column top",
+        STRUCTURE,
+        "    if lo == 0 and not (wide and spare == h):\n",
+        "    if lo == 0:\n",
+        ("tests/test_structure.py::TestEnumeration::test_lexicographic_and_distinct",),
+    ),
+    Mutant(
+        "out-in-missing-directory-raises",
+        "only an --out path that is a directory is caught; one in a missing directory raises",
+        CLI,
+        "        except OSError as err:\n",
+        "        except IsADirectoryError as err:\n",
+        (
+            "tests/test_cli.py::TestUsageErrors::"
+            "test_unwritable_out_is_a_usage_error[missing-dir-verify]",
+        ),
     ),
     Mutant(
         "count-mismatch-exits-0",
