@@ -3,13 +3,15 @@ fixed-point galleries, counting tables, orbit profiles and the
 verification suite.
 
 Exit codes: 0 success, 1 a verification or counting mismatch, 2 usage
-error, 3 an exploration limit cut the run short.
+error, 3 an exploration limit cut the run short, 141 standard output
+closed early (128 + SIGPIPE, as a shell reports for a tool a pipe killed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+EXIT_PIPE = 141
 
 # Search cell of a count_table row whose sweep hit an exploration limit.
 TRUNCATED = "trunc"
@@ -368,6 +371,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as stop:
         # argparse or _emit already printed the error; normalize its code
         return EXIT_USAGE if stop.code not in (0, None) else EXIT_OK
+    except BrokenPipeError:
+        # With standard output on devnull, the last flush at exit cannot fail.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -8,6 +8,9 @@ from a single column, without running any dynamics:
 * under the symmetric pair of rules, exactly the shapes that split into a
   non-decreasing left zone and a non-increasing right zone, both crazed.
 
+One scan over adjacent pairs from each end finds every such split and
+every monotone one: either way the valid cuts form one interval.
+
 Fixed points admit closed-form counts: n grains leave isqrt(n) distinct
 stable shapes, split between those with a one-column top and those with a
 two-column top.  Every stable shape is built from one staircase, h, h-1,
@@ -105,17 +108,16 @@ def _window(cols: tuple[int, ...], lo: int, hi: int | None) -> tuple[int, int]:
     return lo - 1, hi
 
 
-def _crazed_prefix(cols: tuple[int, ...], climb: bool = False) -> int:
-    # The length of the longest crazed prefix of cols, in one pass over
-    # adjacent pairs; with climb, of the longest one that is also
-    # non-decreasing.  A plateau is an equal pair and a cliff a pair at
-    # least 2 apart; the scan stops at the first plateau with no cliff
-    # since the one before it.  A run of three equal heights is two
-    # plateaus with nothing between them, so it stops there too.
+def _prefix(cols: tuple[int, ...], crazed: bool, climb: bool) -> int:
+    # The length of the longest prefix of cols that is crazed if crazed is
+    # set and non-decreasing if climb is, in one pass over adjacent pairs.
+    # A plateau is an equal pair and a cliff a pair at least 2 apart; with
+    # crazed, the scan stops at the first plateau with no cliff since the
+    # one before it, so a run of three equal heights stops it too.
     armed = True  # no plateau since the last cliff, or none yet
     for i, (x, y) in enumerate(zip(cols, cols[1:])):
         if x == y:
-            if not armed:
+            if crazed and not armed:
                 return i + 1
             armed = False
         elif climb and x > y:
@@ -133,7 +135,7 @@ def is_crazed(c: Configuration, lo: int = 1, hi: int | None = None) -> bool:
     least 2, strictly between them.  An empty window is vacuously crazed.
     """
     a, b = _window(c.columns, lo, hi)
-    return _crazed_prefix(c.columns[a:b]) == b - a
+    return _prefix(c.columns[a:b], True, False) == b - a
 
 
 def plateau_spans(
@@ -161,37 +163,23 @@ def cliffs(c: Configuration, lo: int = 1, hi: int | None = None) -> tuple[int, .
     )
 
 
-def _split_cuts(cols: tuple[int, ...]) -> range:
-    k = len(cols)
-    nondec_upto = 0
-    while nondec_upto < k - 1 and cols[nondec_upto] <= cols[nondec_upto + 1]:
-        nondec_upto += 1
-    # prefix [1, t] is non-decreasing for every t <= nondec_upto + 1
-    noninc_from = k - 1
-    while noninc_from > 0 and cols[noninc_from - 1] >= cols[noninc_from]:
-        noninc_from -= 1
-    # suffix [t+1, k] is non-increasing for every t >= noninc_from
-    return range(noninc_from, nondec_upto + 2)
+def _cuts(cols: tuple[int, ...], crazed: bool) -> range:
+    # The cuts t of a monotone split of cols, both zones crazed if asked.
+    # A window inside a non-decreasing (crazed) window is one too, so the
+    # prefix [1, t] qualifies for t up to some L and the suffix [t+1, k],
+    # read backwards, from some t = R on: the cuts are R..L.
+    return range(len(cols) - _prefix(cols[::-1], crazed, True), _prefix(cols, crazed, True) + 1)
 
 
 def lr_splits(c: Configuration) -> tuple[LRSplit, ...]:
     """All cuts t where the prefix [1,t] is non-decreasing and the suffix
     [t+1,k] is non-increasing, in ascending t order.  Ends count: t=0
     leaves the left zone empty and t=k the right one.  Empty exactly when
-    the shape has a valley and so splits nowhere.
+    the shape has a valley and so splits nowhere.  The cuts are one
+    interval, found by one scan from each end, as for has_crazed_lr.
     """
     cols = c.columns
-    return tuple(LRSplit(t, cols[:t], cols[t:]) for t in _split_cuts(cols))
-
-
-def _crazed_cut(cols: tuple[int, ...]) -> int | None:
-    # The lowest cut t of a monotone split of cols whose two zones are
-    # both crazed, or None.  A window inside a non-decreasing crazed
-    # window is one too, so the prefix [1, t] qualifies for t up to some
-    # L and the suffix [t+1, k], read backwards, from some t = R on: the
-    # valid cuts are R..L, and the lowest is R unless R > L.
-    t = len(cols) - _crazed_prefix(cols[::-1], climb=True)
-    return t if t <= _crazed_prefix(cols, climb=True) else None
+    return tuple(LRSplit(t, cols[:t], cols[t:]) for t in _cuts(cols, False))
 
 
 def has_crazed_lr(c: Configuration) -> LRSplit | None:
@@ -199,22 +187,25 @@ def has_crazed_lr(c: Configuration) -> LRSplit | None:
 
     Returns the lowest-cut such split, or None.  Existence is exactly
     membership in the orbit of the single column with the same grain
-    count under the symmetric rules.
+    count under the symmetric rules.  lr_splits' two scans, plateau
+    rule added, give these cuts as one interval.
     """
     cols = c.columns
-    t = _crazed_cut(cols)
+    t = next(iter(_cuts(cols, True)), None)
     return None if t is None else LRSplit(t, cols[:t], cols[t:])
 
 
+# Membership runs on every vertex verify sees: it tests R, L with no range.
 def spm_member(c: Configuration) -> bool:
     """Reachable from the single column under the rightward rule alone:
     non-increasing and crazed end to end, a crazed split at t = 0."""
-    return _crazed_cut(c.columns) == 0
+    return _prefix(c.columns[::-1], True, True) == len(c.columns)
 
 
 def sspm_member(c: Configuration) -> bool:
     """Reachable from the single column under the symmetric rules."""
-    return _crazed_cut(c.columns) is not None
+    cols = c.columns
+    return len(cols) - _prefix(cols[::-1], True, True) <= _prefix(cols, True, True)
 
 
 def spm_fixed_point(n: int) -> Configuration:

@@ -183,11 +183,20 @@ def spm_staircase(n: int) -> tuple[int, ...]:
     return tuple(heights)
 
 
+def spm_firing_vector(cols: tuple[int, ...]) -> tuple[int, ...]:
+    """The grains right of each border j = 1..n-1 of a shape of n grains,
+    border j lying between columns j and j+1.  Under the rightward rule
+    from (n), that is how many grains crossed border j, since column 1
+    never empties."""
+    n = sum(cols)
+    padded = list(cols) + [0] * (n - len(cols))
+    return tuple(sum(padded[j:]) for j in range(1, n))
+
+
 def spm_firing_length(n: int) -> int:
     """How many moves every maximal rightward run from (n) makes: each
     grain right of a border of spm_staircase(n) crossed it once."""
-    cols = spm_staircase(n)
-    return sum(sum(cols[j:]) for j in range(1, len(cols)))
+    return sum(spm_firing_vector(spm_staircase(n)))
 
 
 @lru_cache(maxsize=None)

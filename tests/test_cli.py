@@ -25,6 +25,7 @@ from sandpiles.cli import (
     EXIT_LIMIT,
     EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_USAGE,
     TRUNCATED,
     count_table,
@@ -41,11 +42,12 @@ C = Configuration
 PACKAGE_ROOT = str(Path(sandpiles.__file__).resolve().parents[1])
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "sandpiles.cli", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
@@ -405,6 +407,26 @@ class TestSubprocess:
         proc = run_cli("evolve")
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("count", "--n", "5000", "--bfs-cutoff", "0"),  # one write through _emit
+            ("profile", "--n", "3"),  # a print per row
+        ],
+        ids=["count", "profile"],
+    )
+    def test_closed_pipe_exits_141_without_a_traceback(self, args):
+        # the reader is gone before the first write, as when `| head -1`
+        # has read its line and left
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_cli(*args, stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_PIPE == 141
+        assert "Traceback" not in proc.stderr and "Exception" not in proc.stderr
 
     def test_seeded_runs_repeat(self):
         a = run_cli("evolve", "--n", "7", "--seed", "42")

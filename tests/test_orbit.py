@@ -44,6 +44,7 @@ from conftest import (
     naive_is_lattice,
     naive_orbit,
     spm_firing_length,
+    spm_firing_vector,
     spm_orbit_size,
     sspm_orbit_size,
 )
@@ -454,6 +455,31 @@ class TestLattice:
         )
         assert not lattice_check(g)
 
+    def test_spm_reachability_is_firing_vector_dominance(self):
+        # og((n), SPM) is a chip-firing game: v lies below u exactly when
+        # every border has let through at least as many grains in v as in
+        # u, a route to the lattice that shares nothing with lattice_check
+        for n in range(1, 17):
+            g = build(C((n,)), Model.SPM)
+            f = [spm_firing_vector(v.columns) for v in g.vertices]
+            for u in range(g.vertex_count):
+                below = {u}
+                stack = [u]
+                while stack:
+                    for v in g.out_lists[stack.pop()]:
+                        if v not in below:
+                            below.add(v)
+                            stack.append(v)
+                for v in range(g.vertex_count):
+                    dominates = all(a <= b for a, b in zip(f[u], f[v]))
+                    assert (v in below) == dominates, (n, g.vertices[u], g.vertices[v])
+
+    def test_spm_firing_vectors_are_closed_under_max(self):
+        # the componentwise max of two firing vectors is their meet
+        for n in range(1, 17):
+            f = {spm_firing_vector(v.columns) for v in build(C((n,)), Model.SPM).vertices}
+            assert all(tuple(map(max, a, b)) in f for a in f for b in f), n
+
     @pytest.mark.parametrize("model", [Model.SPM, Model.SSPM])
     def test_matches_naive_lattice_on_orbits(self, model):
         for n in range(1, 13):
@@ -672,21 +698,12 @@ class TestSinkCensus:
 
     @pytest.mark.parametrize("max_vertices", [1, 50, 1000])
     @pytest.mark.parametrize("max_depth", [None, 0, 3, 40])
-    def test_array_lane_matches_python_lane_under_limits(self, max_vertices, max_depth):
+    @pytest.mark.parametrize("model", [Model.SPM, Model.SSPM])
+    def test_matches_naive_census_under_limits(self, model, max_vertices, max_depth):
         limits = ExplorationLimits(max_vertices=max_vertices, max_depth=max_depth)
-        for cols in [(30,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
-            want = naive_census(cols, "spm", limits)
-            assert plain(sink_census(C(cols), Model.SPM, limits)) == want, cols
-
-    @pytest.mark.parametrize("max_vertices", [1, 50, 1000])
-    @pytest.mark.parametrize("max_depth", [None, 0, 3, 40])
-    def test_sspm_array_lane_matches_python_lane_under_limits(
-        self, max_vertices, max_depth
-    ):
-        limits = ExplorationLimits(max_vertices=max_vertices, max_depth=max_depth)
-        for cols in [(8,), (20,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
-            want = naive_census(cols, "sspm", limits)
-            assert plain(sink_census(C(cols), Model.SSPM, limits)) == want, cols
+        for cols in [(8,), (20,), (30,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
+            want = naive_census(cols, model.value, limits)
+            assert plain(sink_census(C(cols), model, limits)) == want, cols
 
     @pytest.mark.parametrize("max_vertices", [3000, 20000])
     @pytest.mark.parametrize("max_depth", [None, 12])

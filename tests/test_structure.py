@@ -207,17 +207,20 @@ class TestHasCrazedLR:
         assert is_crazed(c, 1, s.t) and is_crazed(c, s.t + 1, c.width)
 
     @staticmethod
-    def lowest_crazed_split(cols):
-        # every cut tried in turn, each zone judged by the pair-position oracle
+    def monotone_cuts(cols):
+        # every cut tried in turn: the prefix climbs and the suffix falls
+        return [
+            t
+            for t in range(len(cols) + 1)
+            if all(a <= b for a, b in zip(cols[:t], cols[1:t]))
+            and all(a >= b for a, b in zip(cols[t:], cols[t + 1 :]))
+        ]
+
+    @classmethod
+    def lowest_crazed_split(cls, cols):
+        # each zone of each monotone cut judged by the pair-position oracle
         want = next(
-            (
-                t
-                for t in range(len(cols) + 1)
-                if all(a <= b for a, b in zip(cols[:t], cols[1:t]))
-                and all(a >= b for a, b in zip(cols[t:], cols[t + 1 :]))
-                and naive_crazed(cols[:t])
-                and naive_crazed(cols[t:])
-            ),
+            (t for t in cls.monotone_cuts(cols) if naive_crazed(cols[:t]) and naive_crazed(cols[t:])),
             None,
         )
         return None if want is None else LRSplit(want, cols[:want], cols[want:])
@@ -228,14 +231,16 @@ class TestHasCrazedLR:
         assert has_crazed_lr(c) == self.lowest_crazed_split(c.columns)
 
     def test_every_small_composition_against_definition_and_membership(self):
-        # sspm_member tests the same cut search for None without building
-        # the split; both must agree with the definition on every shape
+        # sspm_member reads the same two scans without building the split,
+        # and lr_splits reads them with plateaus left alone; all must agree
+        # with the definition on every shape
         for n in range(1, 13):
             for cols in compositions(n):
                 c = C(cols)
                 s = has_crazed_lr(c)
                 assert s == self.lowest_crazed_split(cols), cols
                 assert sspm_member(c) == (s is not None), cols
+                assert [split.t for split in lr_splits(c)] == self.monotone_cuts(cols), cols
 
 
 class TestMembership:

@@ -150,7 +150,7 @@ MUTANTS = (
         ORBIT,
         "vertex_count + size > limits.max_vertices:",
         "vertex_count + size >= limits.max_vertices:",
-        (CENSUS + "test_array_lane_matches_python_lane_under_limits[None-1000]",),
+        (CENSUS + "test_matches_naive_census_under_limits[spm-None-1000]",),
     ),
     Mutant(
         "census-depth-cap-past",
@@ -313,7 +313,7 @@ MUTANTS = (
     ),
     Mutant(
         "crazed-cut-no-climb-stop",
-        "the membership scans read a descent as part of a climbing zone",
+        "the split scans read a descent as part of a climbing zone",
         STRUCTURE,
         "        elif climb and x > y:\n            return i + 1\n",
         "",
@@ -326,16 +326,38 @@ MUTANTS = (
         "crazed-cut-last-cut-refused",
         "the cut search refuses a split whose lowest cut is also its highest",
         STRUCTURE,
-        "    return t if t <= _crazed_prefix(cols, climb=True) else None\n",
-        "    return t if t < _crazed_prefix(cols, climb=True) else None\n",
+        "_prefix(cols, crazed, True) + 1)",
+        "_prefix(cols, crazed, True))",
         ("tests/test_structure.py::TestHasCrazedLR::test_lowest_cut_against_definition",),
+    ),
+    Mutant(
+        "sspm-member-last-cut-refused",
+        "sspm_member refuses a shape whose one crazed cut is both the lowest and the highest",
+        STRUCTURE,
+        "    return len(cols) - _prefix(cols[::-1], True, True) <= _prefix(cols, True, True)\n",
+        "    return len(cols) - _prefix(cols[::-1], True, True) < _prefix(cols, True, True)\n",
+        (
+            "tests/test_structure.py::TestHasCrazedLR::"
+            "test_every_small_composition_against_definition_and_membership",
+        ),
+    ),
+    Mutant(
+        "lr-splits-crazed",
+        "lr_splits asks for crazed zones as well as monotone ones",
+        STRUCTURE,
+        "for t in _cuts(cols, False))",
+        "for t in _cuts(cols, True))",
+        (
+            "tests/test_structure.py::TestHasCrazedLR::"
+            "test_every_small_composition_against_definition_and_membership",
+        ),
     ),
     Mutant(
         "spm-member-any-cut",
         "spm_member accepts a crazed split at any cut, not only at t = 0",
         STRUCTURE,
-        "    return _crazed_cut(c.columns) == 0\n",
-        "    return _crazed_cut(c.columns) is not None\n",
+        "    return _prefix(c.columns[::-1], True, True) == len(c.columns)\n",
+        "    return sspm_member(c)\n",
         ("tests/test_orbit.py::TestVerify::test_spm_checks_use_the_rightward_theory",),
     ),
     Mutant(
@@ -394,6 +416,17 @@ MUTANTS = (
         "return EXIT_OK if report.ok else EXIT_MISMATCH",
         "return EXIT_OK",
         ("tests/test_cli.py::TestMainWithFiles::test_verify_exits_1_on_a_failing_report",),
+    ),
+    Mutant(
+        "pipe-exits-1",
+        "a closed standard output exits as a mismatch",
+        CLI,
+        "        return EXIT_PIPE\n",
+        "        return EXIT_MISMATCH\n",
+        (
+            "tests/test_cli.py::TestSubprocess::test_closed_pipe_exits_141_without_a_traceback[count]",
+            "tests/test_cli.py::TestSubprocess::test_closed_pipe_exits_141_without_a_traceback[profile]",
+        ),
     ),
 )
 
