@@ -48,12 +48,14 @@ the sign bit", and "fires with a drop of exactly 2" reads "entry j + 1 is
 below 1".  So the canonical-parent rule is one table of bounds, indexed
 by the entry that fired to make the row: 0 (never) for -c_0 and for the
 columns left of L - 1, 1 for L - 1 and the sign bit for L and right of
-it.  A level is one compare of its rows against the table rows of their
-moves, one flat ``nonzero`` and one ``divmod``, which gives the parent
-row and the move of every kept child; the move indexes the move table,
-and is the next level's table index.  Only firing column W - 2 puts a
-grain in the last column, so the rows widen, by 8 columns, exactly when
-that move is among the level's.
+it.  A row is 2^s entries long, so W = 2^s - 1.  A level is one compare
+of its rows against the table rows of their moves and one flat
+``nonzero``: a kept child's flat index f gives its parent row as f >> s
+and its move as f & W, which indexes the move table and is the next
+level's table index.  Only firing column W - 2 puts a grain in the last
+column, so the rows double, to 2^(s+1) entries, exactly when the compare
+keeps that move in some row, and both tables are rebuilt at the new
+width.
 
 Sinks are read off the last level alone.  Chip-firing is strongly
 convergent (Björner, Lovász & Shor 1991): every maximal firing sequence
@@ -98,9 +100,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, count
-from typing import Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .core import Configuration, Model, _fire, energy
 from .structure import (
@@ -111,6 +111,9 @@ from .structure import (
     sspm_member,
     top,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -310,10 +313,11 @@ def lattice_check(g: OrbitGraph) -> bool:
 
     The order is u below v iff u is reachable from v.  Requires an
     acyclic graph with a unique source and a unique sink, then checks
-    every vertex pair for a greatest lower bound via descendant bitset
-    intersections.  The unique sink lies below every vertex, so each
-    pair has a common descendant; if the pair has a greatest lower bound
-    it must be the topologically earliest of them, so only that candidate
+    every incomparable vertex pair for a greatest lower bound via
+    descendant bitset intersections; a comparable pair's lower element
+    is its meet.  The unique sink lies below every vertex, so each pair
+    has a common descendant; if the pair has a greatest lower bound it
+    must be the topologically earliest of them, so only that candidate
     is tested.  Joins need no test: a finite poset with a greatest element
     (here the unique source) in which every pair has a meet is a lattice,
     because the join of a and b is the meet of their common upper bounds,
@@ -342,14 +346,20 @@ def lattice_check(g: OrbitGraph) -> bool:
     # Rank 0 is a source, and every vertex of a DAG descends from some
     # source, so it is the only one exactly when everything descends
     # from it.
-    if desc[0] != (1 << m) - 1:
+    full = (1 << m) - 1
+    if desc[0] != full:
         return False
+    # A pair where b lies below a has b as its meet, so only the later
+    # ranks that are not below a are tested, one low bit at a time.
     for a, da in enumerate(desc):
-        for db in desc[a + 1 :]:
-            lower = da & db
+        rest = full >> a + 1 << a + 1 & ~da
+        while rest:
+            low = rest & -rest
+            lower = da & desc[low.bit_length() - 1]
             glb = (lower & -lower).bit_length() - 1
             if lower & ~desc[glb]:
                 return False
+            rest ^= low
     return True
 
 
@@ -476,6 +486,8 @@ class SinkCensus(NamedTuple):
 
 
 def _int_type(peak: int, root: tuple[int, ...]) -> type:
+    import numpy as np
+
     # The narrowest signed integer type that holds -peak..peak.
     for t in (np.int8, np.int16, np.int32, np.int64):
         if peak <= np.iinfo(t).max:
@@ -484,6 +496,8 @@ def _int_type(peak: int, root: tuple[int, ...]) -> type:
 
 
 def _spm_tables(width: int, signed: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     # Both tables are unsigned and indexed by a move p, the row entry of
     # the slope that fired: p = j + 1 fires column j, and p = 0, the -c_0
     # entry, stands for the root, which no firing made.
@@ -510,11 +524,15 @@ def _spm_tables(width: int, signed: np.dtype) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spm_levels(cols: tuple[int, ...]) -> Iterator[tuple[list, int]]:
-    # Rows start one empty column wider than the root and grow as shapes
-    # reach the edge, so the (W+1, W+1) tables stay as small as the shapes
-    # the sweep has met.
-    width = len(cols) + 1
-    width += (-width) % 8
+    import numpy as np
+
+    # A row is 2^s >= 8 entries, -c_0 and W = 2^s - 1 offset slopes, with
+    # at least one empty column past the root, so a kept compare's flat
+    # index splits into its row, flat >> s, and its move, flat & W.  Rows
+    # double as shapes reach the edge, so the (W+1, W+1) tables stay as
+    # small as the shapes the sweep has met.
+    s = max(3, (len(cols) + 1).bit_length())
+    width = (1 << s) - 1
     # No column ever exceeds the root's tallest and none inside a shape
     # ever empties, so -c_0 and every offset slope d - 2 lie in
     # [-1 - max(cols), max(cols) - 2], which the signed type of max(cols)
@@ -531,8 +549,8 @@ def _spm_levels(cols: tuple[int, ...]) -> Iterator[tuple[list, int]]:
     last = np.zeros(1, dtype=np.intp)  # the move that made each row
     for depth in count():
         kept = a < keep.take(last, axis=0)
-        rows, last = np.divmod(kept.ravel().nonzero()[0], width + 1)
-        if not len(rows):
+        flat = kept.ravel().nonzero()[0]
+        if not len(flat):
             # Chip-firing is strongly convergent: every maximal firing
             # sequence has the same length, so a sink lies on the last
             # level only, and this level is all sinks.  A row that can
@@ -546,15 +564,17 @@ def _spm_levels(cols: tuple[int, ...]) -> Iterator[tuple[list, int]]:
             # whose partial sums are -c_0, -c_1, ...
             yield [[-int(x) for x in row] for row in level.cumsum(axis=1, dtype=signed)], 0
             return
-        yield [], len(rows)
-        kids = a.take(rows, axis=0)
+        yield [], len(flat)
+        last = flat & width
+        kids = a.take(flat >> s, axis=0)
         kids += moves.take(last, axis=0)
-        # Only firing column W - 2 puts a grain in the last column, which
-        # the rows keep empty; widen so the next level's rightmost slope
-        # is still visible.
-        if last.max() == width - 1:
-            kids = np.pad(kids.view(signed), ((0, 0), (0, 8)), constant_values=-2).view(dtype)
-            width += 8
+        # Only firing column W - 2, move W - 1, puts a grain in the last
+        # column, which the rows keep empty; double the rows so the next
+        # level's rightmost slope is still visible.
+        if np.count_nonzero(kept[:, -2]):
+            kids = np.pad(kids.view(signed), ((0, 0), (0, width + 1)), constant_values=-2).view(dtype)
+            s += 1
+            width += width + 1
             moves, keep = _spm_tables(width, signed)
         a = kids
 
@@ -568,6 +588,8 @@ _SSPM_MARGIN = 8
 def _sspm_key_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The (n + 1, k) bit table and the (n, k) flip table of the SSPM keys
     of n grains, k = max(1, ceil((n - 1) / 64)) uint64 words a key."""
+    import numpy as np
+
     # bits[s] is the key bit of an interior partial sum 0 < s < n: bit
     # (s - 1) % 64 of word (s - 1) // 64.  A shape's key is the OR of
     # bits[s] over all its column borders, so the borders past either end
@@ -586,6 +608,8 @@ def _sspm_key_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sspm_levels(cols: tuple[int, ...]) -> Iterator[tuple[list, int]]:
+    import numpy as np
+
     n = sum(cols)
     dtype = _int_type(n, cols)  # holds every height, slope and partial sum
     bits, flip = _sspm_key_tables(n)

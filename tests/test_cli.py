@@ -42,10 +42,12 @@ C = Configuration
 PACKAGE_ROOT = str(Path(sandpiles.__file__).resolve().parents[1])
 
 
-def run_cli(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def run_cli(
+    *args: str, stdout=subprocess.PIPE, entry=("-m", "sandpiles.cli")
+) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "sandpiles.cli", *args],
+        [sys.executable, *entry, *args],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
@@ -427,6 +429,28 @@ class TestSubprocess:
             os.close(write)
         assert proc.returncode == EXIT_PIPE == 141
         assert "Traceback" not in proc.stderr and "Exception" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, loads",
+        [
+            (("graph", "--n", "4"), False),
+            (("verify", "--n", "4"), False),
+            (("evolve", "--n", "4"), False),
+            (("fixpoints", "--n", "4"), False),
+            (("profile", "--n", "4"), False),
+            (("count", "--n", "3", "--bfs-cutoff", "3"), True),
+        ],
+        ids=["graph", "verify", "evolve", "fixpoints", "profile", "count"],
+    )
+    def test_only_a_census_imports_numpy(self, args, loads):
+        # numpy is imported where a census lane needs it, so a command that
+        # runs no census starts without paying for it
+        script = (
+            "import sys; from sandpiles.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)"
+        )
+        proc = run_cli(*args, entry=("-c", script))
+        assert proc.stderr.split() == ["0", str(loads)]
 
     def test_seeded_runs_repeat(self):
         a = run_cli("evolve", "--n", "7", "--seed", "42")

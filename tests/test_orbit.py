@@ -455,6 +455,39 @@ class TestLattice:
         )
         assert not lattice_check(g)
 
+    def test_unmet_pair_behind_an_incomparable_partner(self):
+        # r -> a, c, b; a and b both cover x and y; c, x, y -> s.  Vertex
+        # a's later incomparable partners are c, whose meet with a is s,
+        # and then b, which shares x and y with a and so has no meet: a
+        # check that stops at a's first incomparable partner misses it
+        r, a, c, b, x, y, s = (C((m,)) for m in (8, 7, 6, 5, 4, 3, 2))
+        g = OrbitGraph(
+            model=Model.SPM,
+            vertices=(r, a, c, b, x, y, s),
+            out_lists=((1, 2, 3), (4, 5), (6,), (4, 5), (6,), (6,), ()),
+            depths=(0, 1, 1, 1, 2, 2, 3),
+            sink_ids=(6,),
+            truncated=False,
+        )
+        assert g.topo_order == tuple(range(7))
+        assert not lattice_check(g)
+        assert not naive_is_lattice(g.vertex_count, g.edges)
+
+    def test_chain_is_a_lattice(self):
+        # every pair of a chain is comparable, so every pair has a meet;
+        # 70 vertices put the descendant sets past one machine word
+        m = 70
+        g = OrbitGraph(
+            model=Model.SPM,
+            vertices=tuple(C((m - k,)) for k in range(m)),
+            out_lists=tuple((k + 1,) for k in range(m - 1)) + ((),),
+            depths=tuple(range(m)),
+            sink_ids=(m - 1,),
+            truncated=False,
+        )
+        assert lattice_check(g)
+        assert naive_is_lattice(g.vertex_count, g.edges)
+
     def test_spm_reachability_is_firing_vector_dominance(self):
         # og((n), SPM) is a chip-firing game: v lies below u exactly when
         # every border has let through at least as many grains in v as in
@@ -685,16 +718,32 @@ class TestSinkCensus:
                     want = naive_census(cols, model.value, limits)
                     assert plain(sink_census(C(cols), model, limits)) == want, cols
 
-    def test_spm_rows_widen_at_the_edge(self):
-        # rows keep their last column empty and widen by 8 when column
-        # W - 2 fires; a tall last column makes that happen at the first
-        # level, and the long rows of ones later and more than once
+    def test_spm_rows_widen_at_the_edge(self, monkeypatch):
+        # rows are 2^s entries that keep their last column empty and
+        # double when column W - 2 fires; a tall last column makes that
+        # happen at the first level, and the long rows of ones later.  A
+        # staircase of 46 grains from column 5 reaches column 14, so its
+        # rows go from 8 to 16 to 32 entries; one of 45 stops at column 13
+        real = orbit._spm_tables
+        widths: list[int] = []
+
+        def record(width, signed):
+            widths.append(width)
+            return real(width, signed)
+
+        monkeypatch.setattr(orbit, "_spm_tables", record)
         limits = ExplorationLimits()
         roots = [(1,) * 6 + (k,) for k in (3, 4, 9, 20)]
         roots += [(1,) * 7 + (12,), (1,) * 14 + (6,), (2,) * 6 + (10,), (3, 1, 1, 1, 1, 1, 1, 25)]
+        roots += [(1,) * 5 + (45,), (1,) * 5 + (46,)]
+        built = {}
         for cols in roots:
+            widths.clear()
             want = naive_census(cols, "spm", limits)
             assert plain(sink_census(C(cols), Model.SPM, limits)) == want, cols
+            built[cols] = list(widths)
+        assert built[(1,) * 5 + (45,)] == [7, 15]
+        assert built[(1,) * 5 + (46,)] == [7, 15, 31]
 
     @pytest.mark.parametrize("max_vertices", [1, 50, 1000])
     @pytest.mark.parametrize("max_depth", [None, 0, 3, 40])

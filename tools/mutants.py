@@ -81,9 +81,17 @@ MUTANTS = (
         "spm-widen-off-by-one",
         "SPM rows widen only when column W - 1 fires, one column too late",
         ORBIT,
-        "        if last.max() == width - 1:\n",
-        "        if last.max() == width:\n",
+        "        if np.count_nonzero(kept[:, -2]):\n",
+        "        if np.count_nonzero(kept[:, -1]):\n",
         (CENSUS + "test_spm_rows_widen_at_the_edge",),
+    ),
+    Mutant(
+        "spm-row-mask-drops-a-bit",
+        "a kept compare's move is read with the top bit of the row stride cleared",
+        ORBIT,
+        "        last = flat & width\n",
+        "        last = flat & width >> 1\n",
+        (CENSUS + "test_matches_naive_census_on_small_roots[spm]",),
     ),
     Mutant(
         "sspm-cross-word-flip-in-lower-word",
@@ -234,18 +242,38 @@ MUTANTS = (
         "lattice-no-glb-test",
         "lattice_check accepts every pair without testing its meet",
         ORBIT,
-        "            if lower & ~desc[glb]:\n                return False\n",
-        "",
+        "            if lower & ~desc[glb]:\n                return False\n            rest ^= low\n",
+        "            rest ^= low\n",
         (
             "tests/test_orbit.py::TestLattice::test_diamond_pair_without_meet",
             "tests/test_orbit.py::test_lattice_check_matches_naive_lattice_on_random_graphs",
         ),
     ),
     Mutant(
+        "lattice-tests-comparable-pairs",
+        "lattice_check tests the pairs where b lies below a, which always meet, "
+        "and skips the incomparable ones",
+        ORBIT,
+        "        rest = full >> a + 1 << a + 1 & ~da\n",
+        "        rest = full >> a + 1 << a + 1 & da\n",
+        (
+            "tests/test_orbit.py::TestLattice::test_diamond_pair_without_meet",
+            "tests/test_orbit.py::test_lattice_check_matches_naive_lattice_on_random_graphs",
+        ),
+    ),
+    Mutant(
+        "lattice-first-incomparable-only",
+        "lattice_check tests each vertex only against its first later incomparable partner",
+        ORBIT,
+        "        while rest:\n",
+        "        if rest:\n",
+        ("tests/test_orbit.py::TestLattice::test_unmet_pair_behind_an_incomparable_partner",),
+    ),
+    Mutant(
         "lattice-no-unique-source-test",
         "lattice_check accepts graphs with more than one source",
         ORBIT,
-        "    if desc[0] != (1 << m) - 1:\n        return False\n",
+        "    if desc[0] != full:\n        return False\n",
         "",
         ("tests/test_orbit.py::test_lattice_check_matches_naive_lattice_on_random_graphs",),
     ),
@@ -397,6 +425,14 @@ MUTANTS = (
             "tests/test_cli.py::TestUsageErrors::"
             "test_unwritable_out_is_a_usage_error[missing-dir-verify]",
         ),
+    ),
+    Mutant(
+        "numpy-at-import",
+        "orbit.py imports numpy with the module, so every command pays for it",
+        ORBIT,
+        "if TYPE_CHECKING:\n    import numpy as np\n",
+        "import numpy as np\n",
+        ("tests/test_cli.py::TestSubprocess::test_only_a_census_imports_numpy[graph]",),
     ),
     Mutant(
         "count-mismatch-exits-0",
