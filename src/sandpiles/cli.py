@@ -70,14 +70,14 @@ def render_ascii(c: Configuration) -> str:
     return "\n".join(rows)
 
 
-def render_gallery(shapes: tuple[Configuration, ...], gap: str = "  ") -> str:
+def render_gallery(shapes: tuple[Configuration, ...]) -> str:
     """All shapes side by side on a shared baseline."""
     height = max(max(s.columns) for s in shapes)
     blocks = []
     for s in shapes:
         lines = render_ascii(s).split("\n")
         blocks.append(["." * s.width] * (height - len(lines)) + lines)
-    return "\n".join(gap.join(parts) for parts in zip(*blocks))
+    return "\n".join("  ".join(parts) for parts in zip(*blocks))
 
 
 def count_table(

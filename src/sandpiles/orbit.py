@@ -48,14 +48,9 @@ the sign bit", and "fires with a drop of exactly 2" reads "entry j + 1 is
 below 1".  So the canonical-parent rule is one table of bounds, indexed
 by the entry that fired to make the row: 0 (never) for -c_0 and for the
 columns left of L - 1, 1 for L - 1 and the sign bit for L and right of
-it.  A row is 2^s entries long, so W = 2^s - 1.  A level is one compare
-of its rows against the table rows of their moves and one flat
-``nonzero``: a kept child's flat index f gives its parent row as f >> s
-and its move as f & W, which indexes the move table and is the next
-level's table index.  Only firing column W - 2 puts a grain in the last
-column, so the rows double, to 2^(s+1) entries, exactly when the compare
-keeps that move in some row, and both tables are rebuilt at the new
-width.
+it.  A level is one compare of its rows against the table rows of their
+moves and one flat ``nonzero``: a kept child's move indexes the move
+table and is the next level's table index.
 
 Sinks are read off the last level alone.  Chip-firing is strongly
 convergent (Björner, Lovász & Shor 1991): every maximal firing sequence
@@ -71,28 +66,40 @@ there, so its sweep keeps every shape it has seen and dedupes each level
 against them.  A shape of n grains is a composition of n, and its key is
 the mask of its interior partial sums 0 < S < n, which is exact and
 blind to translation: sum S owns bit (S - 1) % 64 of word (S - 1) // 64
-of k = ceil((n - 1) / 64) uint64 words.  A grain crossing the border
-after column j changes only that partial sum S_j, by one, so a child's
-key is its parent's key XOR flip[t], where t = S_j or S_j - 1 is the
-lower of the two sums, flip[t] = bit[t] XOR bit[t + 1], and bit[0] =
-bit[n] = 0 for the borders past either end.  The flip table has n rows
-of k words, n * ceil((n - 1) / 64) words in all: 2 MB at 4,096 grains
-and 12 MB at 10^4, and the bit table it is made from is as large.
+of k = ceil((n - 1) / 64) uint64 words.  The root's key is folded from
+its partial sums.  A grain crossing the border after column j changes
+only that partial sum S_j, by one, so a child's key is its parent's key
+XOR flip[t], where t = S_j or S_j - 1 is the lower of the two sums, and
+flip[t] holds the bits of sums t and t + 1, none for the sums 0 and n
+past either end.  The flip table has n rows of k words, n * ceil((n -
+1) / 64) words in all: 2 MB at 4,096 grains and 12 MB at 10^4.
 
 The rows hold these partial sums too: (0, P_0, ..., P_{W-1}), with P_j
 the grains in columns 0..j of W columns whose first and last are kept
 empty, in the narrowest signed int that holds n, so every SSPM root
-takes this sweep too.  One difference
-of a row gives its heights and a second its slopes, the slope across
-border j standing at P_j, so a firing's flat index reads both its slope
-and its t straight from the level.  Each level computes its children's
-keys without building a row, sorts them (as one uint64 when k = 1, as
-one opaque 8k-byte item otherwise), drops the keys repeated within the
-level and then those already seen, and only then copies the surviving
-rows and adds the step, +1 or -1, to the one entry P_j of each.  The
-empty margins let every row keep its place: a child that puts a grain
-in the first or the last column widens the whole level by 8 columns on
-that side, copies of the edge entry, 0 or n.
+takes this sweep too.  One difference of a row gives its heights and a
+second its slopes, the slope across border j standing at P_j, so a
+firing's flat index reads both its slope and its t straight from the
+level.  Each level computes its children's keys without building a row,
+sorts them (as one uint64 when k = 1, as one opaque 8k-byte item
+otherwise), drops the keys repeated within the level and then those
+already seen, and only then copies the surviving rows and adds the
+step, +1 or -1, to the one entry P_j of each.
+
+Both lanes keep a level as one array of rows 2^s entries long, so W =
+2^s - 1, starting at the smallest such length that holds the root's row
+(at least 8 entries under SPM).  A flat index f into a level, or into
+its compare, gives its row as f >> s and its entry, the move under SPM,
+as f & W.  The kept-empty columns let every row keep its place until a
+child puts a grain in one, and then the rows double, to 2^(s+1)
+entries; a grain moves one column a level, so one doubling always
+empties the edge again.  Under SPM only firing column W - 2, move W -
+1, puts a grain in the last column, so the rows double exactly when the
+compare keeps that move in some row; the new entries, the offset slopes
+-2 of empty columns, go on the right, and both tables are rebuilt at the
+new width.  Under SSPM a grain may reach the first or the last column,
+so half the new entries go on each side, copies of the edge entry, 0 or
+n.
 """
 
 from __future__ import annotations
@@ -579,32 +586,22 @@ def _spm_levels(cols: tuple[int, ...]) -> Iterator[tuple[list, int]]:
         a = kids
 
 
-# How many empty columns an SSPM census row gains on a side when a child
-# puts a grain in that side's margin column.  The tests set it to 1 to
-# make rows widen often; it is not a setting.
-_SSPM_MARGIN = 8
-
-
-def _sspm_key_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (n + 1, k) bit table and the (n, k) flip table of the SSPM keys
-    of n grains, k = max(1, ceil((n - 1) / 64)) uint64 words a key."""
+def _sspm_key_tables(n: int) -> np.ndarray:
+    """The (n, k) flip table of the SSPM keys of n grains, k = max(1,
+    ceil((n - 1) / 64)) uint64 words a key."""
     import numpy as np
 
-    # bits[s] is the key bit of an interior partial sum 0 < s < n: bit
-    # (s - 1) % 64 of word (s - 1) // 64.  A shape's key is the OR of
-    # bits[s] over all its column borders, so the borders past either end
-    # (sums 0 and n) must add nothing.
-    k = max(1, -(-(n - 1) // 64))
-    inner = np.arange(1, n)
-    bits = np.zeros((n + 1, k), dtype=np.uint64)
-    bits[inner, (inner - 1) // 64] = np.left_shift(
-        np.uint64(1), ((inner - 1) % 64).astype(np.uint64)
-    )
     # A grain crossing a border moves its partial sum between t and t + 1,
-    # which flips flip[t]: two bits, in two words only where t is a
-    # multiple of 64.
-    flip = bits[:-1] ^ bits[1:]
-    return bits, flip
+    # which flips the bits of both sums.  Interior sum s owns bit (s - 1)
+    # % 64 of word (s - 1) // 64, in rows s - 1 and s; 0 and n own none.
+    k = max(1, -(-(n - 1) // 64))
+    s = np.arange(1, n)
+    word = (s - 1) // 64
+    bit = np.left_shift(np.uint64(1), ((s - 1) % 64).astype(np.uint64))
+    flip = np.zeros((n, k), dtype=np.uint64)
+    flip[s - 1, word] = bit
+    flip[s, word] ^= bit
+    return flip
 
 
 def _sspm_levels(cols: tuple[int, ...]) -> Iterator[tuple[list, int]]:
@@ -612,16 +609,19 @@ def _sspm_levels(cols: tuple[int, ...]) -> Iterator[tuple[list, int]]:
 
     n = sum(cols)
     dtype = _int_type(n, cols)  # holds every height, slope and partial sum
-    bits, flip = _sspm_key_tables(n)
-    k = bits.shape[1]
+    flip = _sspm_key_tables(n)
+    k = flip.shape[1]
     # One key word sorts as itself; wider keys sort as one opaque item,
     # which is a consistent total order, all that dedupe needs.
     kt = np.uint64 if k == 1 else np.dtype((np.void, 8 * k))
-    # A row is (0, P_0, ..., P_{W-1}): a constant 0, then the partial sums
-    # of W columns whose first and last are kept empty.
-    a = np.array([(0, 0, *accumulate(cols), n)], dtype=dtype)
-    width = len(cols) + 2
-    key = np.bitwise_or.reduce(bits.take(a[0], axis=0)).view(kt)
+    # A row is (0, P_0, ..., P_{W-1}), W = 2^s - 1: a constant 0, then the
+    # partial sums of W columns whose first and last are kept empty.
+    s = (len(cols) + 2).bit_length()
+    width = (1 << s) - 1
+    a = np.full((1, width + 1), n, dtype=dtype)
+    a[0, : len(cols) + 2] = (0, 0, *accumulate(cols))
+    mask = sum(1 << p - 1 for p in accumulate(cols[:-1]))
+    key = np.array([mask >> 64 * w & (1 << 64) - 1 for w in range(k)], dtype=np.uint64).view(kt)
     seen = key  # every key visited so far, sorted
     while True:
         # One difference gives the heights and a second the slopes: d[r, i]
@@ -636,7 +636,7 @@ def _sspm_levels(cols: tuple[int, ...]) -> Iterator[tuple[list, int]]:
         d[:, 0] = 0
         d[:, -1] = 0
         flat = (np.abs(d) >= 2).ravel().nonzero()[0]  # flat indices into a
-        rows, col = np.divmod(flat, width + 1)
+        rows = flat >> s
         # the heights of the level's sinks, margins too; rows is sorted, so
         # a row that cannot move is a gap in it
         found = []
@@ -668,17 +668,18 @@ def _sspm_levels(cols: tuple[int, ...]) -> Iterator[tuple[list, int]]:
         yield found, len(key)
         seen = np.concatenate((seen, key))
         seen.sort(kind="stable")  # a merge of two sorted runs
-        rows = rows.take(pick)
-        kids = a.take(rows, axis=0)
-        cell = col.take(pick) + np.arange(0, len(kids) * (width + 1), width + 1)
+        flat = flat.take(pick)
+        kids = a.take(flat >> s, axis=0)
+        cell = (flat & width) + np.arange(0, len(kids) << s, width + 1)
         kids.put(cell, kids.take(cell) + step.take(pick))
-        # A child with a grain in the first or the last column gets more
-        # empty columns on that side: copies of the edge entry, 0 or n.
-        left = _SSPM_MARGIN if np.count_nonzero(kids[:, 1]) else 0
-        right = _SSPM_MARGIN if np.count_nonzero(kids[:, -2] != n) else 0
-        if left or right:
-            kids = kids.take(np.arange(-left, width + 1 + right), axis=1, mode="clip")
-            width += left + right
+        # A child with a grain in the first or the last column doubles the
+        # rows, half the new entries on each side: copies of the edge
+        # entry, 0 or n.
+        if np.count_nonzero(kids[:, 1]) or np.count_nonzero(kids[:, -2] != n):
+            half = 1 << s - 1
+            kids = kids.take(np.arange(-half, width + 1 + half), axis=1, mode="clip")
+            s += 1
+            width += width + 1
         a = kids
 
 
@@ -706,14 +707,16 @@ def sink_census(
       raises RuntimeError.
     * The SSPM lane keys each shape by a mask of its partial sums and
       dedupes every level against all keys seen so far; its rows hold
-      those partial sums between two empty margin columns.
+      those partial sums, with the first and last column kept empty.
 
-    Rows are the narrowest signed integers that hold the root's tallest
-    column (SPM) or its grains (SSPM); a root that needs more than 64
-    bits raises OverflowError, naming it.  The module docstring describes
-    both sweeps.  Results agree with build() wherever both fit in memory,
-    which the test suite pins down on small cases, and with a plain
-    visited-set search in the tests.
+    Rows are 2^s entries long in both lanes, so a flat index splits into
+    its row and its entry by a shift and a mask, and they double when a
+    shape reaches their edge.  They are the narrowest signed integers
+    that hold the root's tallest column (SPM) or its grains (SSPM); a
+    root that needs more than 64 bits raises OverflowError, naming it.
+    The module docstring describes both sweeps.  Results agree with
+    build() wherever both fit in memory, which the test suite pins down
+    on small cases, and with a plain visited-set search in the tests.
     """
     if limits is None:
         limits = ExplorationLimits()

@@ -390,6 +390,10 @@ class TestUsageErrors:
     def test_rejected_invocations(self, argv):
         assert main(argv) == EXIT_USAGE
 
+    def test_non_integer_height_names_the_expected_format(self, capsys):
+        assert main(["evolve", "--config", "3,x"]) == EXIT_USAGE
+        assert "expected comma-separated heights, like 3,2,1" in capsys.readouterr().err
+
     def test_help_is_not_an_error(self):
         assert main(["--help"]) == EXIT_OK
 

@@ -659,8 +659,10 @@ class TestSinkCensus:
             assert sink_census(C((n,)), Model.SPM).depth == spm_firing_length(n), n
 
     def test_sspm_lane_matches_counting_recurrence(self):
-        # past the (1)..(24) of the acceptance sweep, by shape structure
-        for n in range(1, 33):
+        # past the (1)..(24) of the acceptance sweep, by shape structure;
+        # (39) and (40) are the first single columns whose rows double
+        # three times, when a grain reaches 7 columns from the root
+        for n in (*range(1, 33), 39, 40):
             census = sink_census(C((n,)), Model.SSPM)
             assert census.vertex_count == sspm_orbit_size(n), n
 
@@ -757,10 +759,15 @@ class TestSinkCensus:
     @pytest.mark.parametrize("max_vertices", [3000, 20000])
     @pytest.mark.parametrize("max_depth", [None, 12])
     def test_sspm_rows_widen_at_either_margin(self, max_vertices, max_depth):
-        # rows keep an empty first and last column and widen by 8 on the
-        # side a child puts a grain in: every root here reaches a margin
-        # within a few levels, on one side or both, and (126, 1) and
-        # (127) hold int8 rows of partial sums, (128) int16 ones
+        # rows are 2^s entries that keep an empty first and last column
+        # and double, half the new entries on each side, when a child puts
+        # a grain in either: (40, 1, 1, 1, 1) at 20000 shapes and
+        # (20, 1, 1, 1, 1) uncapped double twice on the left, their
+        # mirrors twice on the right, and (30), (127) and (128) twice on
+        # both sides; (126, 1) and (127) hold int8 rows of partial sums,
+        # (128) int16 ones.  A third doubling needs a grain 7 columns out
+        # from a single column, and more from a wider root; (39), at
+        # 302,870 shapes, is the first root the tests double three times
         limits = ExplorationLimits(max_vertices=max_vertices, max_depth=max_depth)
         for cols in [
             (30,),
@@ -768,6 +775,8 @@ class TestSinkCensus:
             (29, 1),
             (1, 1, 1, 1, 40),
             (40, 1, 1, 1, 1),
+            (1, 1, 1, 1, 20),
+            (20, 1, 1, 1, 1),
             (126, 1),
             (127,),
             (128,),
@@ -787,34 +796,25 @@ class TestSinkCensus:
             census = sink_census(C(cols), Model.SSPM, limits)
             assert plain(census) == naive_census(cols, "sspm", limits), cols
 
-    @pytest.mark.parametrize("max_vertices", [3000, 20000])
-    @pytest.mark.parametrize("max_depth", [None, 12])
-    def test_sspm_rows_widen_one_column_at_a_time(self, monkeypatch, max_vertices, max_depth):
-        # with a margin of 1 every root above widens a side three to five
-        # times, so the second and later widenings of a side run too
-        monkeypatch.setattr(orbit, "_SSPM_MARGIN", 1)
-        limits = ExplorationLimits(max_vertices=max_vertices, max_depth=max_depth)
-        for cols in [(30,), (1, 29), (29, 1), (1, 1, 1, 1, 40), (40, 1, 1, 1, 1), (126, 1), (127,), (128,)]:
-            census = sink_census(C(cols), Model.SSPM, limits)
-            assert plain(census) == naive_census(cols, "sspm", limits), cols
-
     def test_sspm_key_tables_match_the_definition(self):
         # a key has bit (S - 1) % 64 of word (S - 1) // 64 set for each
         # interior partial sum 0 < S < n; a move's key must be its
         # parent's key XOR flip[t], t the lower of the two sums the move
         # passes its border's partial sum between
-        def key(cols, n, k):
-            mask = sum(1 << (s - 1) for s in accumulate(cols) if 0 < s < n)
+        def words(sums, n, k):
+            mask = sum(1 << (s - 1) for s in sums if 0 < s < n)
             return [mask >> 64 * w & (1 << 64) - 1 for w in range(k)]
+
+        def key(cols, n, k):
+            return words(accumulate(cols), n, k)
 
         rng = random.Random(11)
         for n in list(range(2, 12)) + [63, 64, 65, 66, 127, 128, 129, 130, 300] + rng.sample(range(12, 301), 20):
-            bits, flip = _sspm_key_tables(n)
+            flip = _sspm_key_tables(n)
             k = max(1, -(-(n - 1) // 64))
-            assert bits.shape == (n + 1, k) and flip.shape == (n, k)
-            for s in range(n + 1):
-                want = [1 << (s - 1) % 64 if 0 < s < n and w == (s - 1) // 64 else 0 for w in range(k)]
-                assert bits[s].tolist() == want, (n, s)
+            assert flip.shape == (n, k) and flip.dtype == np.uint64
+            for t in range(n):
+                assert flip[t].tolist() == words((t, t + 1), n, k), (n, t)
             shapes = []
             for _ in range(10):
                 cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(n - 1, 40))))
@@ -823,6 +823,13 @@ class TestSinkCensus:
             shapes += [[s, n - s] for m in range(64, n - 1, 64) for s in (m, m + 1)]
             for cols in shapes:
                 parent = key(cols, n, k)
+                # The census cannot see the root's key: a wrong one moves
+                # every key by the same XOR, which keeps them distinct.  So
+                # it is read from the lane, where seen holds it alone until
+                # the first level has been yielded.
+                lane = orbit._sspm_levels(tuple(cols))
+                next(lane)
+                assert lane.gi_frame.f_locals["seen"].view(np.uint64).tolist() == parent, cols
                 for i, c in enumerate(cols):
                     for step in (1, -1):
                         j = i + step

@@ -91,34 +91,50 @@ MUTANTS = (
         ORBIT,
         "        last = flat & width\n",
         "        last = flat & width >> 1\n",
-        (CENSUS + "test_matches_naive_census_on_small_roots[spm]",),
+        (
+            CENSUS + "test_matches_naive_census_under_limits[spm-None-50]",
+            CENSUS + "test_matches_naive_census_on_small_roots[spm]",
+        ),
+    ),
+    Mutant(
+        "sspm-row-split-drops-a-bit",
+        "a firing's entry in its SSPM row is read with the top bit of the row stride cleared",
+        ORBIT,
+        "        cell = (flat & width) + np.arange(0, len(kids) << s, width + 1)\n",
+        "        cell = (flat & width >> 1) + np.arange(0, len(kids) << s, width + 1)\n",
+        (
+            CENSUS + "test_matches_naive_census_under_limits[sspm-None-50]",
+            CENSUS + "test_matches_naive_census_on_small_roots[sspm]",
+        ),
     ),
     Mutant(
         "sspm-cross-word-flip-in-lower-word",
         "flip[64] holds both of its bits in word 0, so the key of a shape "
         "whose partial sum moves between 64 and 65 is wrong",
         ORBIT,
-        "    flip = bits[:-1] ^ bits[1:]\n",
-        "    flip = bits[:-1] ^ bits[1:]\n"
+        "    flip[s, word] ^= bit\n",
+        "    flip[s, word] ^= bit\n"
         "    flip[64:65, 0] |= np.uint64(1)\n"
         "    flip[64:65, 1:] = 0\n",
         (CENSUS + "test_sspm_key_tables_match_the_definition",),
     ),
     Mutant(
         "sspm-second-widening",
-        "SSPM rows stop widening once they have grown by two margins, so a "
-        "side that reaches its margin a second time loses grains off the edge",
+        "SSPM rows double once at most, so a grain that reaches the edge "
+        "a second time is lost off it",
         ORBIT,
-        "        if left or right:\n",
-        "        if (left or right) and width < len(cols) + 2 + 2 * _SSPM_MARGIN:\n",
-        (CENSUS + "test_sspm_rows_widen_one_column_at_a_time[None-3000]",),
+        "        if np.count_nonzero(kids[:, 1]) or np.count_nonzero(kids[:, -2] != n):\n",
+        "        if s == (len(cols) + 2).bit_length() and (\n"
+        "            np.count_nonzero(kids[:, 1]) or np.count_nonzero(kids[:, -2] != n)\n"
+        "        ):\n",
+        (CENSUS + "test_sspm_rows_widen_at_either_margin[None-3000]",),
     ),
     Mutant(
         "sspm-cross-word-flip-drops-upper-bit",
         "flip[t] for t a multiple of 64 keeps only its lower-word bit",
         ORBIT,
-        "    flip = bits[:-1] ^ bits[1:]\n",
-        "    flip = bits[:-1] ^ bits[1:]\n    flip[64::64] = bits[64:-1:64]\n",
+        "    flip[s, word] ^= bit\n",
+        "    flip[s, word] ^= bit\n    t = np.arange(64, n, 64)\n    flip[t, t // 64] = 0\n",
         (
             CENSUS + "test_sspm_key_tables_match_the_definition",
             CENSUS + "test_sspm_key_crosses_word_boundaries[limits0]",
@@ -126,15 +142,24 @@ MUTANTS = (
     ),
     Mutant(
         "sspm-end-borders-keyed",
-        "the borders past either end (sums 0 and n) add the bits of sums 1 "
-        "and n - 1 to every key",
+        "the borders past either end (sums 0 and n) own the bits of sums 1 "
+        "and n - 1, so a grain crossing either end border flips no bit",
         ORBIT,
-        "    flip = bits[:-1] ^ bits[1:]\n",
-        "    bits[0] = bits[1]\n    bits[n] = bits[n - 1]\n    flip = bits[:-1] ^ bits[1:]\n",
+        "    flip[s, word] ^= bit\n",
+        "    flip[s, word] ^= bit\n    flip[0] = flip[n - 1] = 0\n",
         (
             CENSUS + "test_sspm_key_tables_match_the_definition",
             CENSUS + "test_matches_naive_census_on_small_roots[sspm]",
         ),
+    ),
+    Mutant(
+        "sspm-root-key-keys-sum-n",
+        "the root's key also sets the bit its last partial sum, n, would own; "
+        "every key moves by the same XOR, so only a direct check sees it",
+        ORBIT,
+        "    mask = sum(1 << p - 1 for p in accumulate(cols[:-1]))\n",
+        "    mask = sum(1 << p - 1 for p in accumulate(cols))\n",
+        (CENSUS + "test_sspm_key_tables_match_the_definition",),
     ),
     Mutant(
         "sspm-dedupe-within-level-only",
