@@ -152,10 +152,8 @@ def slope(c: Configuration, i: int, direction: Direction) -> int:
     """
     if not 1 <= i <= c.width:
         raise IndexError(f"column {i} out of range 1..{c.width}")
-    here = c.columns[i - 1]
-    if Direction(direction) is Direction.RIGHT:
-        return here - (c.columns[i] if i < c.width else 0)
-    return here - (c.columns[i - 2] if i > 1 else 0)
+    neighbour = i + 1 if Direction(direction) is Direction.RIGHT else i - 1
+    return c.columns[i - 1] - c.height(neighbour)
 
 
 # build runs the kernel once per vertex; reading these aliases instead of

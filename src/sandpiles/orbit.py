@@ -63,16 +63,16 @@ that can still fire raises a RuntimeError naming the root and the depth.
 
 The SSPM model has no such structure: shapes recur at different depths
 there, so its sweep keeps every shape it has seen and dedupes each level
-against them.  A shape of n grains is a composition of n, and its key is
-the mask of its interior partial sums 0 < S < n, which is exact and
-blind to translation: sum S owns bit (S - 1) % 64 of word (S - 1) // 64
-of k = ceil((n - 1) / 64) uint64 words.  The root's key is folded from
-its partial sums.  A grain crossing the border after column j changes
-only that partial sum S_j, by one, so a child's key is its parent's key
-XOR flip[t], where t = S_j or S_j - 1 is the lower of the two sums, and
-flip[t] holds the bits of sums t and t + 1, none for the sums 0 and n
-past either end.  The flip table has n rows of k words, n * ceil((n -
-1) / 64) words in all: 2 MB at 4,096 grains and 12 MB at 10^4.
+against them.  A shape of n grains is a composition of n, and the mask
+of its interior partial sums 0 < S < n is exact and blind to
+translation: sum S owns bit (S - 1) % 64 of word (S - 1) // 64 of k =
+ceil((n - 1) / 64) uint64 words.  A shape's key is its mask XOR the
+root's, so the root's is zero.  A grain crossing the border after column
+j changes only that partial sum S_j, by one, so a child's key is its
+parent's key XOR flip[t], where t = S_j or S_j - 1 is the lower of the
+two sums, and flip[t] holds the bits of sums t and t + 1, none for the
+sums 0 and n past either end.  The flip table has n rows of k words, n *
+ceil((n - 1) / 64) words in all: 2 MB at 4,096 grains and 12 MB at 10^4.
 
 The rows hold these partial sums too: (0, P_0, ..., P_{W-1}), with P_j
 the grains in columns 0..j of W columns whose first and last are kept
@@ -620,8 +620,7 @@ def _sspm_levels(cols: tuple[int, ...]) -> Iterator[tuple[list, int]]:
     width = (1 << s) - 1
     a = np.full((1, width + 1), n, dtype=dtype)
     a[0, : len(cols) + 2] = (0, 0, *accumulate(cols))
-    mask = sum(1 << p - 1 for p in accumulate(cols[:-1]))
-    key = np.array([mask >> 64 * w & (1 << 64) - 1 for w in range(k)], dtype=np.uint64).view(kt)
+    key = np.zeros(k, dtype=np.uint64).view(kt)  # keys are relative to the root
     seen = key  # every key visited so far, sorted
     while True:
         # One difference gives the heights and a second the slopes: d[r, i]

@@ -674,6 +674,17 @@ class TestSinkCensus:
                 assert census.vertex_count == g.vertex_count
                 assert set(census.sinks) == set(sinks(g))
 
+    def test_spm_agrees_with_build_on_multi_column_roots(self):
+        # 40-60 grains in 2-3 columns, the scale of the bench's SPM roots:
+        # the census reads its one sink off the last level and its depth
+        # as every transient's length, which strong convergence promises
+        for cols in [(30, 10), (25, 25), (40, 5, 5), (24, 12, 14), (10, 20, 20), (45, 15)]:
+            g = build(C(cols), Model.SPM)
+            census = sink_census(C(cols), Model.SPM)
+            assert census.vertex_count == g.vertex_count, cols
+            assert len(census.sinks) == 1 and census.sinks == sinks(g), cols
+            assert transient_stats(g) == (census.depth, census.depth), cols
+
     @pytest.mark.parametrize(
         "limits",
         [
@@ -797,10 +808,11 @@ class TestSinkCensus:
             assert plain(census) == naive_census(cols, "sspm", limits), cols
 
     def test_sspm_key_tables_match_the_definition(self):
-        # a key has bit (S - 1) % 64 of word (S - 1) // 64 set for each
-        # interior partial sum 0 < S < n; a move's key must be its
-        # parent's key XOR flip[t], t the lower of the two sums the move
-        # passes its border's partial sum between
+        # a shape's mask has bit (S - 1) % 64 of word (S - 1) // 64 set
+        # for each interior partial sum 0 < S < n, and its key is that
+        # mask XOR the root's; so a move's key must be its parent's key
+        # XOR flip[t], t the lower of the two sums the move passes its
+        # border's partial sum between, whatever the root
         def words(sums, n, k):
             mask = sum(1 << (s - 1) for s in sums if 0 < s < n)
             return [mask >> 64 * w & (1 << 64) - 1 for w in range(k)]
@@ -823,13 +835,6 @@ class TestSinkCensus:
             shapes += [[s, n - s] for m in range(64, n - 1, 64) for s in (m, m + 1)]
             for cols in shapes:
                 parent = key(cols, n, k)
-                # The census cannot see the root's key: a wrong one moves
-                # every key by the same XOR, which keeps them distinct.  So
-                # it is read from the lane, where seen holds it alone until
-                # the first level has been yielded.
-                lane = orbit._sspm_levels(tuple(cols))
-                next(lane)
-                assert lane.gi_frame.f_locals["seen"].view(np.uint64).tolist() == parent, cols
                 for i, c in enumerate(cols):
                     for step in (1, -1):
                         j = i + step
