@@ -18,15 +18,14 @@ import time
 from math import isqrt
 from pathlib import Path
 
+from .census import SinkCensus, sink_census
 from .core import Configuration, Model, _fire
 from .orbit import (
     ExplorationLimits,
     OrbitGraph,
-    SinkCensus,
     build,
     export,
     lattice_check,
-    sink_census,
     transient_stats,
     verify,
 )
@@ -51,6 +50,7 @@ def evolve(c0: Configuration, model: Model, seed: int) -> list[Configuration]:
     reproducible from its seed.  Termination is guaranteed because every
     move strictly lowers energy.
     """
+    model = Model(model)
     rng = random.Random(seed)
     cur = c0.columns
     trajectory = [c0]

@@ -21,7 +21,12 @@ from typing import Iterable
 
 
 class Model(Enum):
-    """Which local rules are enabled."""
+    """Which local rules are enabled.
+
+    Every public function that takes a model also takes its value, "spm"
+    or "sspm", and converts it once per call; anything else raises
+    ValueError.
+    """
 
     SPM = "spm"
     SSPM = "sspm"
@@ -87,11 +92,6 @@ class Configuration:
         _set_columns(c, cols)
         return c
 
-    @classmethod
-    def single_column(cls, n: int) -> "Configuration":
-        """The column of n grains that most orbit explorations start from."""
-        return cls((n,))
-
     @property
     def width(self) -> int:
         return len(self.columns)
@@ -134,11 +134,6 @@ class Move:
 
     def __str__(self) -> str:
         return f"{self.direction.value}@{self.index}"
-
-
-def grains(c: Configuration) -> int:
-    """Total number of grains; every move conserves it."""
-    return c.grains
 
 
 def slope(c: Configuration, i: int, direction: Direction) -> int:
@@ -189,7 +184,7 @@ def _fire(
 
 def enabled_moves(c: Configuration, model: Model) -> frozenset[Move]:
     """All moves whose slope condition holds at c under the model."""
-    return frozenset(Move(d, i) for i, d, _ in _fire(c.columns, model))
+    return frozenset(Move(d, i) for i, d, _ in _fire(c.columns, Model(model)))
 
 
 def apply_move(c: Configuration, move: Move) -> Configuration:
@@ -225,6 +220,7 @@ def frontier_step(
 
     A set of fixed points (or an empty set) maps to the empty set.
     """
+    model = Model(model)
     out = {child for c in configs for _, _, child in _fire(c.columns, model)}
     return frozenset(Configuration(t) for t in out)
 
@@ -243,4 +239,4 @@ def energy(c: Configuration) -> int:
 
 def is_fixed_point(c: Configuration, model: Model) -> bool:
     """True when no move is enabled on c under the model."""
-    return not _fire(c.columns, model)
+    return not _fire(c.columns, Model(model))

@@ -47,9 +47,6 @@ class TopSet:
     hi: int
     contiguous: bool
 
-    def __contains__(self, i: int) -> bool:
-        return self.lo <= i <= self.hi
-
     @property
     def size(self) -> int:
         return self.hi - self.lo + 1

@@ -52,7 +52,7 @@ def sspm_sinks_24():
     """Exhaustive symmetric-model sinks for n = 1..24, with wall time."""
     t0 = time.perf_counter()
     found = {
-        n: sink_census(C.single_column(n), Model.SSPM).sinks
+        n: sink_census(C((n,)), Model.SSPM).sinks
         for n in range(1, 25)
     }
     return found, time.perf_counter() - t0
@@ -61,7 +61,7 @@ def sspm_sinks_24():
 @pytest.fixture(scope="module")
 def sspm_graphs_20():
     """Full orbit graphs of (n) under the symmetric model for n = 1..20."""
-    return {n: build(C.single_column(n), Model.SSPM) for n in range(1, 21)}
+    return {n: build(C((n,)), Model.SSPM) for n in range(1, 21)}
 
 
 def test_01_square_root_law(sspm_sinks_24):
@@ -107,7 +107,7 @@ def test_04_spm_funnels_to_the_staircase():
     ok = True
     detail = ""
     for n in range(1, 101):
-        res = sink_census(C.single_column(n), Model.SPM)
+        res = sink_census(C((n,)), Model.SPM)
         if res.truncated or res.sinks != (spm_fixed_point(n),):
             ok = False
             detail = f"n={n} gave {[str(s) for s in res.sinks]}"
@@ -116,7 +116,7 @@ def test_04_spm_funnels_to_the_staircase():
             ok = False
             detail = f"n={n} reached {res.vertex_count} shapes, expected {spm_orbit_size(n)}"
             break
-    eight = sink_census(C.single_column(8), Model.SPM).sinks
+    eight = sink_census(C((8,)), Model.SPM).sinks
     if eight != (C((3, 2, 2, 1)),):
         ok = False
         detail = f"n=8 sink {eight}"
@@ -132,7 +132,7 @@ def test_04_spm_funnels_to_the_staircase():
 
 def test_05_spm_orbit_is_a_lattice():
     ok = all(
-        lattice_check(build(C.single_column(n), Model.SPM))
+        lattice_check(build(C((n,)), Model.SPM))
         for n in range(1, 15)
     )
     report(5, ok, "og((n), SPM) passes lattice_check for n <= 14")
@@ -155,7 +155,7 @@ def test_06_membership_matches_reachability(sspm_graphs_20):
         predicted = {
             C(parts) for parts in compositions(n) if spm_member(C(parts))
         }
-        reached = set(build(C.single_column(n), Model.SPM).vertices)
+        reached = set(build(C((n,)), Model.SPM).vertices)
         if predicted != reached:
             ok = False
             detail = f"SPM n={n}"
@@ -262,7 +262,7 @@ def test_09_rendered_galleries_spot_check(tmp_path):
 
 
 def test_10_builds_and_exports_are_reproducible():
-    root = C.single_column(12)
+    root = C((12,))
     one = build(root, Model.SSPM)
     two = build(root, Model.SSPM)
     blobs = [(export(g, "json"), export(g, "dot")) for g in (one, two)]

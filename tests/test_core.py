@@ -17,15 +17,17 @@ from sandpiles import (
     Move,
     MoveError,
     apply_move,
+    build,
     enabled_moves,
     energy,
     enumerate_fixed_points,
     frontier_step,
-    grains,
     is_fixed_point,
+    sink_census,
     slope,
     successors,
 )
+from sandpiles.cli import evolve
 
 from conftest import naive_successors
 
@@ -101,9 +103,9 @@ class TestConfiguration:
 
 class TestGrainsAndSlope:
     def test_grains(self):
-        assert grains(C((8,))) == 8
-        assert grains(C((3, 2, 2, 1))) == 8
-        assert grains(C((1, 1))) == 2
+        assert C((8,)).grains == 8
+        assert C((3, 2, 2, 1)).grains == 8
+        assert C((1, 1)).grains == 2
 
     def test_slope_interior_and_boundary(self):
         c = C((3, 1))
@@ -291,3 +293,29 @@ def test_enumerated_fixed_points_pass_the_constructor_checks(n):
     # checked constructor accepts unchanged
     for d in enumerate_fixed_points(n):
         assert d == C(d.columns)
+
+
+# Every public entry point that takes a model, called on inputs where the
+# two rule sets give different answers.
+BY_MODEL = {
+    "enabled_moves": lambda m: enabled_moves(C((5,)), m),
+    "successors": lambda m: successors(C((5,)), m),
+    "frontier_step": lambda m: frontier_step([C((5,)), C((2, 1))], m),
+    "is_fixed_point": lambda m: is_fixed_point(C((2, 1)), m),
+    "build": lambda m: build(C((5,)), m),
+    "sink_census": lambda m: sink_census(C((5,)), m),
+    "evolve": lambda m: evolve(C((5,)), m, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BY_MODEL))
+def test_a_model_may_be_given_by_its_value(name):
+    call = BY_MODEL[name]
+    assert call(Model.SPM) != call(Model.SSPM)
+    for model in Model:
+        got = call(model.value)
+        assert got == call(model)
+        # an orbit graph keeps the member, never the string it was given
+        assert getattr(got, "model", model) is model
+    with pytest.raises(ValueError, match="bogus"):
+        call("bogus")

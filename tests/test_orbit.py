@@ -34,8 +34,8 @@ from sandpiles import (
     verify,
 )
 
-from sandpiles import orbit
-from sandpiles.orbit import _sspm_key_tables
+from sandpiles import census
+from sandpiles.census import _sspm_key_tables
 
 from conftest import (
     compositions,
@@ -301,7 +301,9 @@ class TestVerify:
             truncated=False,
         )
         assert g.topo_order is None
-        assert verify(g).checks[1] == CheckResult("acyclic", "fail", "cycle detected")
+        rep = verify(g)
+        assert rep.checks[1] == CheckResult("acyclic", "fail", "cycle detected")
+        assert rep.checks[-1] == CheckResult("convergence", "skipped", "cycle detected")
         with pytest.raises(ValueError, match="contains a cycle"):
             transient_stats(g)
         assert not lattice_check(g)
@@ -403,14 +405,46 @@ class TestVerify:
 
     def test_spm_checks_use_the_rightward_theory(self):
         # (1,2) splits but is not non-increasing; (1,1,1) is a 3-wide top
-        # and a plateau run, and the one SPM sink of 3 grains is (2,1)
+        # and a plateau run, and the one SPM sink of 3 grains is (2,1); with
+        # one sink and no edge, every transient is 0 moves long
         g = self.fabricated(Model.SPM, [(3,), (1, 2), (1, 1, 1)], (2,))
         assert verify(g).checks[2:] == (
             CheckResult("lr-decomposable", "pass"),
             CheckResult("membership", "fail", "(1,2) fails the predicate"),
             CheckResult("top-width", "fail", "(1,1,1) has top wider than 2"),
             CheckResult("sink-census", "fail", "found 1 sinks, expected 1"),
+            CheckResult("convergence", "pass"),
         )
+
+    def test_spm_graphs_converge_from_any_root(self):
+        # strong convergence: one sink and transients of one length, also
+        # from a root that the membership theory does not cover
+        for cols in [(n,) for n in range(1, 13)] + [(5, 1)]:
+            rep = verify(build(C(cols), Model.SPM))
+            assert rep.ok and rep.checks[-1] == CheckResult("convergence", "pass"), cols
+
+    def test_convergence_fails_naming_its_witness(self):
+        # (4) -> (3,1) -> (2,2) -> (2,1,1) and (4) -> (2,1,1): every edge
+        # drops and every shape passes the membership theory, but the one
+        # sink lies one move and three moves from the root
+        g = OrbitGraph(
+            model=Model.SPM,
+            vertices=(C((4,)), C((3, 1)), C((2, 2)), C((2, 1, 1))),
+            out_lists=((1, 3), (2,), (3,), ()),
+            depths=(0, 1, 2, 1),
+            sink_ids=(3,),
+            truncated=False,
+        )
+        assert verify(g).checks[2:] == (
+            CheckResult("lr-decomposable", "pass"),
+            CheckResult("membership", "pass"),
+            CheckResult("top-width", "pass"),
+            CheckResult("sink-census", "pass"),
+            CheckResult("convergence", "fail", "transients of 1 and 3 moves"),
+        )
+        two = self.fabricated(Model.SPM, [(3,), (2, 1)], (0, 1))
+        want = CheckResult("convergence", "fail", "found 2 sinks, expected 1")
+        assert verify(two).checks[-1] == want
 
     def test_truncated_graph_skips_reachability_checks(self):
         g = build(C((8,)), Model.SSPM, ExplorationLimits(max_vertices=3))
@@ -421,6 +455,10 @@ class TestVerify:
         assert statuses["membership"] == "skipped"
         assert statuses["sink-census"] == "skipped"
         assert rep.ok  # skips are not failures
+
+    def test_truncated_spm_graph_skips_convergence(self):
+        rep = verify(build(C((8,)), Model.SPM, ExplorationLimits(max_vertices=3)))
+        assert rep.checks[-1] == CheckResult("convergence", "skipped", "graph truncated")
 
     def test_wide_root_skips_membership_theory(self):
         g = build(C((5, 1, 5)), Model.SSPM)
@@ -684,6 +722,7 @@ class TestSinkCensus:
             assert census.vertex_count == g.vertex_count, cols
             assert len(census.sinks) == 1 and census.sinks == sinks(g), cols
             assert transient_stats(g) == (census.depth, census.depth), cols
+            assert verify(g).checks[-1] == CheckResult("convergence", "pass"), cols
 
     @pytest.mark.parametrize(
         "limits",
@@ -737,14 +776,14 @@ class TestSinkCensus:
         # happen at the first level, and the long rows of ones later.  A
         # staircase of 46 grains from column 5 reaches column 14, so its
         # rows go from 8 to 16 to 32 entries; one of 45 stops at column 13
-        real = orbit._spm_tables
+        real = census._spm_tables
         widths: list[int] = []
 
         def record(width, signed):
             widths.append(width)
             return real(width, signed)
 
-        monkeypatch.setattr(orbit, "_spm_tables", record)
+        monkeypatch.setattr(census, "_spm_tables", record)
         limits = ExplorationLimits()
         roots = [(1,) * 6 + (k,) for k in (3, 4, 9, 20)]
         roots += [(1,) * 7 + (12,), (1,) * 14 + (6,), (2,) * 6 + (10,), (3, 1, 1, 1, 1, 1, 1, 25)]
@@ -863,13 +902,13 @@ class TestSinkCensus:
     def test_spm_last_level_that_can_fire_is_an_error(self, monkeypatch):
         # a kept-move table that hides every child leaves a last level
         # whose rows can still fire; the lane names the root and depth
-        real = orbit._spm_tables
+        real = census._spm_tables
 
         def hide_all(width, signed):
             moves, keep = real(width, signed)
             return moves, np.zeros_like(keep)
 
-        monkeypatch.setattr(orbit, "_spm_tables", hide_all)
+        monkeypatch.setattr(census, "_spm_tables", hide_all)
         with pytest.raises(RuntimeError, match=r"\(3, 1\).*depth 0"):
             sink_census(C((3, 1)), Model.SPM)
 

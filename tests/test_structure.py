@@ -75,8 +75,6 @@ class TestTop:
     def test_contiguity_flag(self):
         assert top(C((1, 2, 2, 1))).contiguous
         assert not top(C((2, 1, 2))).contiguous
-        assert 2 in top(C((1, 2, 2, 1)))
-        assert 4 not in top(C((1, 2, 2, 1)))
 
     @given(shapes)
     def test_hull_is_tight(self, c):

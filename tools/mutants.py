@@ -17,9 +17,9 @@ replays: a mutant that only some draws catch needs an @example in its
 test, not another seed.
 
 Each mutant is reported as killed (its tests fail), survived (they pass),
-anchor-missing (the old text does not occur exactly once: the code moved,
-and the entry needs a new anchor, not deletion, unless the code it mutates
-was itself deleted) or error (pytest could not run the tests, for instance
+anchor-missing (its file is missing, or the old text does not occur
+exactly once: the code moved, and the entry needs a new path or anchor,
+not deletion, unless the code it mutates was itself deleted) or error (pytest could not run the tests, for instance
 a test id that no longer exists).  The exit status is 0 only when every
 mutant is killed.  Uses the standard library only; the tests themselves
 need pytest, hypothesis and numpy.
@@ -52,140 +52,141 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+CENSUS = "src/sandpiles/census.py"
 CLI = "src/sandpiles/cli.py"
 CORE = "src/sandpiles/core.py"
 ORBIT = "src/sandpiles/orbit.py"
 STRUCTURE = "src/sandpiles/structure.py"
-CENSUS = "tests/test_orbit.py::TestSinkCensus::"
+CENSUS_TESTS = "tests/test_orbit.py::TestSinkCensus::"
 
 MUTANTS = (
     Mutant(
         "spm-left-neighbour-any-drop",
         "the SPM kept-move table keeps column L - 1 at any drop >= 2, not only at 2",
-        ORBIT,
+        CENSUS,
         "    keep[q == p - 1] = 1\n",
         "    keep[q == p - 1] = 1 << 8 * signed.itemsize - 1\n",
-        (CENSUS + "test_matches_naive_census_on_small_roots[spm]",),
+        (CENSUS_TESTS + "test_matches_naive_census_on_small_roots[spm]",),
     ),
     Mutant(
         "spm-entry-0-offset",
         "the SPM root row offsets -c_0 by -2 as well as the slopes",
-        ORBIT,
+        CENSUS,
         "    a[1:] -= 2  # the slopes offset, -c_0 as it is\n",
         "    a -= 2\n",
         (
-            CENSUS + "test_matches_naive_census_on_small_roots[spm]",
-            CENSUS + "test_agrees_with_full_build[spm]",
+            CENSUS_TESTS + "test_matches_naive_census_on_small_roots[spm]",
+            CENSUS_TESTS + "test_agrees_with_full_build[spm]",
         ),
     ),
     Mutant(
         "spm-widen-off-by-one",
         "SPM rows widen only when column W - 1 fires, one column too late",
-        ORBIT,
+        CENSUS,
         "        if np.count_nonzero(kept[:, -2]):\n",
         "        if np.count_nonzero(kept[:, -1]):\n",
-        (CENSUS + "test_spm_rows_widen_at_the_edge",),
+        (CENSUS_TESTS + "test_spm_rows_widen_at_the_edge",),
     ),
     Mutant(
         "spm-row-mask-drops-a-bit",
         "a kept compare's move is read with the top bit of the row stride cleared",
-        ORBIT,
+        CENSUS,
         "        last = flat & width\n",
         "        last = flat & width >> 1\n",
         (
-            CENSUS + "test_matches_naive_census_under_limits[spm-None-50]",
-            CENSUS + "test_matches_naive_census_on_small_roots[spm]",
+            CENSUS_TESTS + "test_matches_naive_census_under_limits[spm-None-50]",
+            CENSUS_TESTS + "test_matches_naive_census_on_small_roots[spm]",
         ),
     ),
     Mutant(
         "sspm-row-split-drops-a-bit",
         "a firing's entry in its SSPM row is read with the top bit of the row stride cleared",
-        ORBIT,
+        CENSUS,
         "        cell = (flat & width) + np.arange(0, len(kids) << s, width + 1)\n",
         "        cell = (flat & width >> 1) + np.arange(0, len(kids) << s, width + 1)\n",
         (
-            CENSUS + "test_matches_naive_census_under_limits[sspm-None-50]",
-            CENSUS + "test_matches_naive_census_on_small_roots[sspm]",
+            CENSUS_TESTS + "test_matches_naive_census_under_limits[sspm-None-50]",
+            CENSUS_TESTS + "test_matches_naive_census_on_small_roots[sspm]",
         ),
     ),
     Mutant(
         "sspm-cross-word-flip-in-lower-word",
         "flip[64] holds both of its bits in word 0, so the key of a shape "
         "whose partial sum moves between 64 and 65 is wrong",
-        ORBIT,
+        CENSUS,
         "    flip[s, word] ^= bit\n",
         "    flip[s, word] ^= bit\n"
         "    flip[64:65, 0] |= np.uint64(1)\n"
         "    flip[64:65, 1:] = 0\n",
-        (CENSUS + "test_sspm_key_tables_match_the_definition",),
+        (CENSUS_TESTS + "test_sspm_key_tables_match_the_definition",),
     ),
     Mutant(
         "sspm-second-widening",
         "SSPM rows double once at most, so a grain that reaches the edge "
         "a second time is lost off it",
-        ORBIT,
+        CENSUS,
         "        if np.count_nonzero(kids[:, 1]) or np.count_nonzero(kids[:, -2] != n):\n",
         "        if s == (len(cols) + 2).bit_length() and (\n"
         "            np.count_nonzero(kids[:, 1]) or np.count_nonzero(kids[:, -2] != n)\n"
         "        ):\n",
-        (CENSUS + "test_sspm_rows_widen_at_either_margin[None-3000]",),
+        (CENSUS_TESTS + "test_sspm_rows_widen_at_either_margin[None-3000]",),
     ),
     Mutant(
         "sspm-cross-word-flip-drops-upper-bit",
         "flip[t] for t a multiple of 64 keeps only its lower-word bit",
-        ORBIT,
+        CENSUS,
         "    flip[s, word] ^= bit\n",
         "    flip[s, word] ^= bit\n    t = np.arange(64, n, 64)\n    flip[t, t // 64] = 0\n",
         (
-            CENSUS + "test_sspm_key_tables_match_the_definition",
-            CENSUS + "test_sspm_key_crosses_word_boundaries[limits0]",
+            CENSUS_TESTS + "test_sspm_key_tables_match_the_definition",
+            CENSUS_TESTS + "test_sspm_key_crosses_word_boundaries[limits0]",
         ),
     ),
     Mutant(
         "sspm-end-borders-keyed",
         "the borders past either end (sums 0 and n) own the bits of sums 1 "
         "and n - 1, so a grain crossing either end border flips no bit",
-        ORBIT,
+        CENSUS,
         "    flip[s, word] ^= bit\n",
         "    flip[s, word] ^= bit\n    flip[0] = flip[n - 1] = 0\n",
         (
-            CENSUS + "test_sspm_key_tables_match_the_definition",
-            CENSUS + "test_matches_naive_census_on_small_roots[sspm]",
+            CENSUS_TESTS + "test_sspm_key_tables_match_the_definition",
+            CENSUS_TESTS + "test_matches_naive_census_on_small_roots[sspm]",
         ),
     ),
     Mutant(
         "sspm-dedupe-within-level-only",
         "the SSPM sweep drops repeated keys within a level but not keys seen before",
-        ORBIT,
+        CENSUS,
         '        fresh = seen.take(seen.searchsorted(key), mode="clip") != key\n',
         "        fresh = np.ones(len(key), dtype=bool)\n",
-        (CENSUS + "test_matches_naive_census_on_small_roots[sspm]",),
+        (CENSUS_TESTS + "test_matches_naive_census_on_small_roots[sspm]",),
     ),
     Mutant(
         "spm-rows-always-int8",
         "SPM rows are int8 whatever the root's tallest column",
-        ORBIT,
+        CENSUS,
         "    signed = np.dtype(_int_type(max(cols), cols))\n",
         "    signed = np.dtype(np.int8)\n",
-        (CENSUS + "test_spm_array_lane_takes_every_root[limits0]",),
+        (CENSUS_TESTS + "test_spm_array_lane_takes_every_root[limits0]",),
     ),
     Mutant(
         "census-vertex-cap-at-equality",
         "the census loop refuses a level that would bring the count exactly to max_vertices",
-        ORBIT,
+        CENSUS,
         "vertex_count + size > limits.max_vertices:",
         "vertex_count + size >= limits.max_vertices:",
-        (CENSUS + "test_matches_naive_census_under_limits[spm-None-1000]",),
+        (CENSUS_TESTS + "test_matches_naive_census_under_limits[spm-None-1000]",),
     ),
     Mutant(
         "census-depth-cap-past",
         "the census loop cuts only past max_depth, one level too deep",
-        ORBIT,
+        CENSUS,
         "if depth == limits.max_depth or",
         "if depth > limits.max_depth or",
         (
-            CENSUS + "test_spm_array_lane_takes_every_root[limits0]",
-            CENSUS + "test_spm_array_lane_takes_every_root[limits1]",
+            CENSUS_TESTS + "test_spm_array_lane_takes_every_root[limits0]",
+            CENSUS_TESTS + "test_spm_array_lane_takes_every_root[limits1]",
         ),
     ),
     Mutant(
@@ -322,6 +323,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "convergence-shortest-against-itself",
+        "verify's convergence check compares the shortest SPM transient with itself, "
+        "so transients of different lengths pass",
+        ORBIT,
+        "if shortest != longest else None",
+        "if shortest != shortest else None",
+        ("tests/test_orbit.py::TestVerify::test_convergence_fails_naming_its_witness",),
+    ),
+    Mutant(
         "topo-order-rising-energy",
         "topo_order sorts the vertices by rising energy, not falling",
         ORBIT,
@@ -445,8 +455,8 @@ MUTANTS = (
     ),
     Mutant(
         "numpy-at-import",
-        "orbit.py imports numpy with the module, so every command pays for it",
-        ORBIT,
+        "census.py imports numpy with the module, so every command pays for it",
+        CENSUS,
         "if TYPE_CHECKING:\n    import numpy as np\n",
         "import numpy as np\n",
         ("tests/test_cli.py::TestSubprocess::test_only_a_census_imports_numpy[graph]",),
@@ -506,7 +516,7 @@ def run(mutant: Mutant) -> str:
         where = Path(tmp)
         _copy(where)
         target = where / mutant.path
-        text = target.read_text()
+        text = target.read_text() if target.is_file() else ""
         if text.count(mutant.old) != 1:
             return "anchor-missing"
         target.write_text(text.replace(mutant.old, mutant.new))
