@@ -2,8 +2,8 @@
 
 ``sink_census`` walks the state space that ``orbit.build`` materialises,
 without storing edges, for sweeps where only the number of reachable
-shapes and the set of sinks matter.  One loop owns the limits and the
-sinks, and each model's lane is a generator that yields one vectorised
+shapes and the set of sinks matter.  One loop owns the vertex limit and
+the sinks, and each model's lane is a generator that yields one vectorised
 level at a time, which is what makes exhaustive checks practical (up to
 a hundred grains under the rightward-only rule).
 
@@ -113,8 +113,8 @@ if TYPE_CHECKING:
 
 class SinkCensus(NamedTuple):
     """What a count-only sweep reports: how many shapes were reachable,
-    which of them were fixed, how deep the sweep went, and whether a
-    limit cut it short."""
+    which of them were fixed, how deep the sweep went, and whether
+    max_vertices cut it short."""
 
     vertex_count: int
     sinks: tuple[Configuration, ...]
@@ -320,12 +320,12 @@ def sink_census(
     """Count the reachable shapes and collect the sinks, without edges.
 
     This loop alone owns the sweep's policy: the shape count, the depth,
-    both limits, the truncation flag and the sinks.  The lane of the
+    the vertex limit, the truncation flag and the sinks.  The lane of the
     model yields one pair per level: the heights of that level's sinks
     and the size of the next level, 0 when there is none.  The next
-    level is taken whole or not at all: at max_depth, or when it would
-    bring the count past max_vertices, the census is flagged truncated,
-    and the lane, never resumed, never builds that level's rows.
+    level is taken whole or not at all: when it would bring the count
+    past max_vertices, the census is flagged truncated, and the lane,
+    never resumed, never builds that level's rows.
 
     A root whose rows need more than 64 bits raises OverflowError, naming
     it, and an SPM row on the last level that can still fire raises
@@ -344,7 +344,7 @@ def sink_census(
         found += level_sinks
         if not size:
             break
-        if depth == limits.max_depth or vertex_count + size > limits.max_vertices:
+        if vertex_count + size > limits.max_vertices:
             truncated = True
             break
         vertex_count += size

@@ -26,23 +26,25 @@ from .structure import (
 
 @dataclass(frozen=True)
 class ExplorationLimits:
-    """Guard rails for exploration; hitting one flags the result as
-    truncated rather than raising.  Both limits must be plain ints (or
-    None for no depth limit); floats, strings and bools are refused with
-    a TypeError."""
+    """The guard rail for exploration: at most max_vertices shapes.
+    Hitting it flags the result as truncated rather than raising.  It
+    must be a positive plain int; floats, strings and bools are refused
+    with a TypeError.
+
+    The two explorers cut a level differently.  ``build`` keeps the first
+    new shapes of a level, in lexicographic order, up to max_vertices;
+    ``sink_census`` takes a level whole or not at all.  So on (12) under
+    SSPM, max_vertices=5 stops ``build`` at 5 vertices and depth 2, and
+    the census at 3 vertices and depth 1.
+    """
 
     max_vertices: int = 5_000_000
-    max_depth: int | None = None
 
     def __post_init__(self) -> None:
         if type(self.max_vertices) is not int:
             raise TypeError(f"max_vertices must be int, got {self.max_vertices!r}")
-        if self.max_depth is not None and type(self.max_depth) is not int:
-            raise TypeError(f"max_depth must be int, got {self.max_depth!r}")
         if self.max_vertices < 1:
             raise ValueError("max_vertices must be positive")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,8 @@ class OrbitGraph:
     as (source, target) pairs in increasing order.  The other views, each
     computed once: energies and labels hold one value per vertex, and
     topo_order sorts the ids by falling energy when every edge drops,
-    falling back to Kahn's algorithm otherwise.
+    falling back to Kahn's algorithm otherwise.  A model given by its
+    value is stored as the Model member.
     """
 
     model: Model
@@ -66,6 +69,9 @@ class OrbitGraph:
     depths: tuple[int, ...]
     sink_ids: tuple[int, ...]
     truncated: bool
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "model", Model(self.model))
 
     @property
     def root(self) -> Configuration:
@@ -139,10 +145,10 @@ def build(
     order, and each level is finished before the next is explored: its
     vertices are expanded, the shapes new to the graph are interned, and
     the level's sinks and edges are recorded.  Every interned vertex is
-    expanded exactly once, also when a limit cuts exploration short; the
-    graph is then flagged truncated and keeps what was found.  A vertex is
-    a sink when it has no move at all, judged before any cut, and edges go
-    only into interned shapes.
+    expanded exactly once, also when max_vertices cuts exploration short
+    (see ExplorationLimits); the graph is then flagged truncated and keeps
+    what was found.  A vertex is a sink when it has no move at all, judged
+    before any cut, and edges go only into interned shapes.
     """
     if limits is None:
         limits = ExplorationLimits()
@@ -159,13 +165,10 @@ def build(
     while frontier:
         level = [{child for _, _, child in _fire(t, model)} for t in frontier]
         fresh = sorted(set().union(*level) - intern.keys())
-        if fresh and limits.max_depth is not None and depth == limits.max_depth:
-            truncated = True
-            fresh = []
         room = limits.max_vertices - len(intern)
         if len(fresh) > room:
             truncated = True
-            fresh = fresh[: max(room, 0)]
+            fresh = fresh[:room]
         for t in fresh:
             intern[t] = len(intern)
             depths.append(depth + 1)

@@ -68,10 +68,9 @@ def naive_census(
     census: (shapes counted, sinks in sorted order, depth, truncated).
 
     Every shape of a level is expanded and its sinks collected.  The
-    level's new shapes are then counted only if the depth limit is not
-    yet reached and they all fit under the vertex limit; otherwise the
-    census stops there, truncated.  Depth counts the levels counted
-    after the root's.
+    level's new shapes are then counted only if they all fit under the
+    vertex limit; otherwise the census stops there, truncated.  Depth
+    counts the levels counted after the root's.
     """
     seen = {cols}
     level = {cols}
@@ -86,9 +85,6 @@ def naive_census(
                 dead.append(c)
             new.update(kids - seen)
         if not new:
-            break
-        if limits.max_depth is not None and depth == limits.max_depth:
-            truncated = True
             break
         if len(seen) + len(new) > limits.max_vertices:
             truncated = True
@@ -110,12 +106,11 @@ def naive_build(cols: tuple[int, ...], model: str, limits) -> tuple[
     (vertices in id order, edges, depths, sink ids, truncated).
 
     First the kept shapes are chosen, level by level: each level's new
-    shapes are taken in lexicographic order, none once the depth limit is
-    reached and only the first that still fit under the vertex limit,
-    and every kept shape is expanded.  Only then are sinks and edges read
-    off the kept shapes from the rule itself: a kept shape with no
-    successor at all is a sink, wherever its successors went, and an edge
-    joins two kept shapes one move apart.
+    shapes are taken in lexicographic order, only the first that still
+    fit under the vertex limit, and every kept shape is expanded.  Only
+    then are sinks and edges read off the kept shapes from the rule
+    itself: a kept shape with no successor at all is a sink, wherever its
+    successors went, and an edge joins two kept shapes one move apart.
     """
     order = [cols]
     depth_of = {cols: 0}
@@ -124,9 +119,6 @@ def naive_build(cols: tuple[int, ...], model: str, limits) -> tuple[
     while level:
         depth = depth_of[level[0]]
         new = sorted({d for c in level for d in naive_successors(c, model)} - set(depth_of))
-        if new and limits.max_depth is not None and depth >= limits.max_depth:
-            truncated = True
-            new = []
         while new and len(order) + len(new) > limits.max_vertices:
             truncated = True
             new.pop()

@@ -31,6 +31,7 @@ from sandpiles.census import _sspm_key_tables
 
 from conftest import (
     compositions,
+    naive_build,
     naive_census,
     spm_firing_length,
     spm_orbit_size,
@@ -102,8 +103,8 @@ class TestSinkCensus:
         "limits",
         [
             ExplorationLimits(max_vertices=2000),
-            ExplorationLimits(max_depth=5),
-            ExplorationLimits(max_depth=4),
+            ExplorationLimits(max_vertices=10),
+            ExplorationLimits(max_vertices=7),
             ExplorationLimits(max_vertices=300),
         ],
     )
@@ -118,10 +119,9 @@ class TestSinkCensus:
         for cols in roots:
             census = sink_census(C(cols), Model.SPM, limits)
             assert plain(census) == naive_census(cols, "spm", limits), cols
-        census = sink_census(
-            C((300,)), Model.SPM, ExplorationLimits(max_depth=2)
-        )
-        assert census.truncated and census.vertex_count == 3  # (300),(299,1),(298,2)... level sizes 1,1,1
+        census = sink_census(C((300,)), Model.SPM, ExplorationLimits(max_vertices=3))
+        # (300), (299,1), (298,2): level sizes 1, 1, 1, then 2
+        assert census.truncated and census.vertex_count == 3 and census.depth == 2
 
     def test_vertex_cap_truncates(self):
         limits = ExplorationLimits(max_vertices=50)
@@ -171,18 +171,16 @@ class TestSinkCensus:
         assert built[(1,) * 5 + (45,)] == [7, 15]
         assert built[(1,) * 5 + (46,)] == [7, 15, 31]
 
-    @pytest.mark.parametrize("max_vertices", [1, 50, 1000])
-    @pytest.mark.parametrize("max_depth", [None, 0, 3, 40])
+    @pytest.mark.parametrize("max_vertices", [1, 2, 7, 50, 300, 1000])
     @pytest.mark.parametrize("model", [Model.SPM, Model.SSPM])
-    def test_matches_naive_census_under_limits(self, model, max_vertices, max_depth):
-        limits = ExplorationLimits(max_vertices=max_vertices, max_depth=max_depth)
+    def test_matches_naive_census_under_limits(self, model, max_vertices):
+        limits = ExplorationLimits(max_vertices=max_vertices)
         for cols in [(8,), (20,), (30,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
             want = naive_census(cols, model.value, limits)
             assert plain(sink_census(C(cols), model, limits)) == want, cols
 
-    @pytest.mark.parametrize("max_vertices", [3000, 20000])
-    @pytest.mark.parametrize("max_depth", [None, 12])
-    def test_sspm_rows_widen_at_either_margin(self, max_vertices, max_depth):
+    @pytest.mark.parametrize("max_vertices", [500, 3000, 20000])
+    def test_sspm_rows_widen_at_either_margin(self, max_vertices):
         # rows are 2^s entries that keep an empty first and last column
         # and double, half the new entries on each side, when a child puts
         # a grain in either: (40, 1, 1, 1, 1) at 20000 shapes and
@@ -192,7 +190,7 @@ class TestSinkCensus:
         # (128) int16 ones.  A third doubling needs a grain 7 columns out
         # from a single column, and more from a wider root; (39), at
         # 302,870 shapes, is the first root the tests double three times
-        limits = ExplorationLimits(max_vertices=max_vertices, max_depth=max_depth)
+        limits = ExplorationLimits(max_vertices=max_vertices)
         for cols in [
             (30,),
             (1, 29),
@@ -209,7 +207,7 @@ class TestSinkCensus:
             assert plain(census) == naive_census(cols, "sspm", limits), cols
 
     @pytest.mark.parametrize(
-        "limits", [ExplorationLimits(max_vertices=2000), ExplorationLimits(max_depth=5)]
+        "limits", [ExplorationLimits(max_vertices=2000), ExplorationLimits(max_vertices=40)]
     )
     def test_sspm_key_crosses_word_boundaries(self, limits):
         # a key has one bit per interior partial sum, 64 to a word: (64)
@@ -296,23 +294,15 @@ class TestSinkCensus:
         # a column of 2^63 needs more than int64 under either model; the
         # error names the root before any table is built
         with pytest.raises(OverflowError, match=r"\(9223372036854775808,\)"):
-            sink_census(C((2**63,)), model, ExplorationLimits(max_depth=2))
-
-    def test_depth_cap(self):
-        census = sink_census(C((8,)), Model.SSPM, ExplorationLimits(max_depth=3))
-        assert census.truncated
-        full = sink_census(C((8,)), Model.SSPM)
-        assert not full.truncated and full.depth > 3
+            sink_census(C((2**63,)), model, ExplorationLimits(max_vertices=3))
 
 
 def assert_spm_sink_is_unique_and_deepest(cols):
-    # naive_census collects the sinks of every level it expands, so the
-    # census cut one level above the deepest holds every sink above it
-    _, dead, depth, truncated = naive_census(cols, "spm", ExplorationLimits())
-    assert not truncated and len(dead) == 1, (cols, dead)
-    if depth:
-        _, above, _, cut = naive_census(cols, "spm", ExplorationLimits(max_depth=depth - 1))
-        assert cut and above == (), (cols, above)
+    # naive_build gives every shape its depth, so the one sink must have
+    # the largest
+    _, _, depths, sink_ids, truncated = naive_build(cols, "spm", ExplorationLimits())
+    assert not truncated and len(sink_ids) == 1, (cols, sink_ids)
+    assert depths[sink_ids[0]] == max(depths), (cols, depths)
 
 
 # 1-6 columns, at most 30 grains: the longest prefix of the drawn columns

@@ -3,6 +3,7 @@ and exports."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -124,6 +125,23 @@ class TestDeterminism:
         assert export(a, "dot") == export(b, "dot")
 
 
+def test_orbit_graph_takes_a_model_by_its_value():
+    # the graph's fields under the model's value make the graph build
+    # made, with the same report and exports; a stored string would get
+    # the other model's theory in verify and break export
+    g = build(C((4,)), Model.SPM)
+    for model in Model:
+        want = dataclasses.replace(g, model=model)
+        got = dataclasses.replace(g, model=model.value)
+        assert got == want and got.model is model
+        assert str(verify(got)) == str(verify(want))
+        assert export(got, "json") == export(want, "json")
+        assert export(got, "dot") == export(want, "dot")
+    assert dataclasses.replace(g, model="spm") == g
+    with pytest.raises(ValueError, match="bogus"):
+        dataclasses.replace(g, model="bogus")
+
+
 # sha256 over the concatenated exports of each family of builds, recorded
 # before export stopped copying tuples into lists and str() into names
 EXPORT_FAMILIES = {
@@ -201,15 +219,6 @@ class TestTruncation:
         assert g.truncated and g.vertex_count == 3
         assert json.loads(export(g, "json"))["truncated"] is True
 
-    def test_depth_cap(self):
-        g = build(C((4,)), Model.SPM, ExplorationLimits(max_depth=1))
-        assert g.truncated
-        assert {v.columns for v in g.vertices} == {(4,), (3, 1)}
-
-    def test_depth_cap_no_false_positive(self):
-        g = build(C((4,)), Model.SPM, ExplorationLimits(max_depth=3))
-        assert not g.truncated and g.vertex_count == 4
-
     def test_truncated_graph_refuses_analysis(self):
         g = build(C((8,)), Model.SSPM, ExplorationLimits(max_vertices=3))
         with pytest.raises(ValueError):
@@ -220,23 +229,15 @@ class TestTruncation:
     def test_limits_validation(self):
         with pytest.raises(ValueError):
             ExplorationLimits(max_vertices=0)
-        with pytest.raises(ValueError):
-            ExplorationLimits(max_depth=-1)
 
     def test_fractional_vertex_cap_is_refused(self):
         # accepted, it would reach build and fail there in a slice
         with pytest.raises(TypeError, match="max_vertices must be int, got 2.5"):
             ExplorationLimits(max_vertices=2.5)
 
-    def test_fractional_depth_cap_is_refused(self):
-        # accepted, it would never equal a depth and so never truncate
-        with pytest.raises(TypeError, match="max_depth must be int, got 1.5"):
-            ExplorationLimits(max_depth=1.5)
-
-    @pytest.mark.parametrize("field", ["max_vertices", "max_depth"])
-    def test_bool_cap_is_refused(self, field):
-        with pytest.raises(TypeError, match=f"{field} must be int, got True"):
-            ExplorationLimits(**{field: True})
+    def test_bool_cap_is_refused(self):
+        with pytest.raises(TypeError, match="max_vertices must be int, got True"):
+            ExplorationLimits(max_vertices=True)
 
 
 class TestVerify:
@@ -678,15 +679,11 @@ def test_build_and_census_match_naive_bfs_on_multi_column_roots(cols, model):
     assert {s.columns for s in census.sinks} == dead
 
 
-# 1-4 columns, at most 14 grains, under no limit, a vertex cap or a depth cap
+# 1-4 columns, at most 14 grains, under no limit or a vertex cap
 capped_builds = (
     st.lists(st.integers(1, 14), min_size=1, max_size=4).map(tuple).filter(lambda t: sum(t) <= 14),
     st.sampled_from([Model.SPM, Model.SSPM]),
-    st.one_of(
-        st.none(),
-        st.builds(ExplorationLimits, max_vertices=st.integers(1, 300)),
-        st.builds(ExplorationLimits, max_depth=st.integers(0, 8)),
-    ),
+    st.one_of(st.none(), st.builds(ExplorationLimits, max_vertices=st.integers(1, 300))),
 )
 
 

@@ -94,7 +94,7 @@ MUTANTS = (
         "        last = flat & width\n",
         "        last = flat & width >> 1\n",
         (
-            CENSUS_TESTS + "test_matches_naive_census_under_limits[spm-None-50]",
+            CENSUS_TESTS + "test_matches_naive_census_under_limits[spm-50]",
             CENSUS_TESTS + "test_matches_naive_census_on_small_roots[spm]",
         ),
     ),
@@ -105,7 +105,7 @@ MUTANTS = (
         "        cell = (flat & width) + np.arange(0, len(kids) << s, width + 1)\n",
         "        cell = (flat & width >> 1) + np.arange(0, len(kids) << s, width + 1)\n",
         (
-            CENSUS_TESTS + "test_matches_naive_census_under_limits[sspm-None-50]",
+            CENSUS_TESTS + "test_matches_naive_census_under_limits[sspm-50]",
             CENSUS_TESTS + "test_matches_naive_census_on_small_roots[sspm]",
         ),
     ),
@@ -129,7 +129,7 @@ MUTANTS = (
         "        if s == (len(cols) + 2).bit_length() and (\n"
         "            np.count_nonzero(kids[:, 1]) or np.count_nonzero(kids[:, -2] != n)\n"
         "        ):\n",
-        (CENSUS_TESTS + "test_sspm_rows_widen_at_either_margin[None-3000]",),
+        (CENSUS_TESTS + "test_sspm_rows_widen_at_either_margin[3000]",),
     ),
     Mutant(
         "sspm-cross-word-flip-drops-upper-bit",
@@ -176,18 +176,7 @@ MUTANTS = (
         CENSUS,
         "vertex_count + size > limits.max_vertices:",
         "vertex_count + size >= limits.max_vertices:",
-        (CENSUS_TESTS + "test_matches_naive_census_under_limits[spm-None-1000]",),
-    ),
-    Mutant(
-        "census-depth-cap-past",
-        "the census loop cuts only past max_depth, one level too deep",
-        CENSUS,
-        "if depth == limits.max_depth or",
-        "if depth > limits.max_depth or",
-        (
-            CENSUS_TESTS + "test_spm_array_lane_takes_every_root[limits0]",
-            CENSUS_TESTS + "test_spm_array_lane_takes_every_root[limits1]",
-        ),
+        (CENSUS_TESTS + "test_matches_naive_census_under_limits[spm-1000]",),
     ),
     Mutant(
         "fire-right-before-left",
@@ -224,6 +213,15 @@ MUTANTS = (
         "outs.append(tuple(sorted(map(intern.get, kids))))",
         "outs.append(tuple(v for v in sorted(map(intern.get, kids)) if v > len(outs)))",
         ("tests/test_orbit.py::test_build_and_census_match_naive_bfs_on_multi_column_roots",),
+    ),
+    Mutant(
+        "orbit-graph-keeps-model-as-given",
+        "OrbitGraph stores a model given by its value as the string, so verify "
+        "applies the other model's theory and export cannot name it",
+        ORBIT,
+        '        object.__setattr__(self, "model", Model(self.model))\n',
+        "        pass\n",
+        ("tests/test_orbit.py::test_orbit_graph_takes_a_model_by_its_value",),
     ),
     Mutant(
         "build-interns-padded-shapes",
