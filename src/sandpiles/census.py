@@ -2,8 +2,8 @@
 
 ``sink_census`` walks the state space that ``orbit.build`` materialises,
 without storing edges, for sweeps where only the number of reachable
-shapes and the set of sinks matter.  One loop owns the vertex limit and
-the sinks, and each model's lane is a generator that yields one vectorised
+shapes and the set of sinks matter.  One loop owns the limit and the
+sinks, and each model's lane is a generator that yields one vectorised
 level at a time, which is what makes exhaustive checks practical (up to
 a hundred grains under the rightward-only rule).
 

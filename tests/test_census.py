@@ -189,7 +189,8 @@ class TestSinkCensus:
         # both sides; (126, 1) and (127) hold int8 rows of partial sums,
         # (128) int16 ones.  A third doubling needs a grain 7 columns out
         # from a single column, and more from a wider root; (39), at
-        # 302,870 shapes, is the first root the tests double three times
+        # 302,870 shapes, is the first root the tests double three times.
+        # A cap of 500 cuts every one of these roots at depth 12
         limits = ExplorationLimits(max_vertices=max_vertices)
         for cols in [
             (30,),
