@@ -1,11 +1,14 @@
-"""Orbit-graph construction, verification, lattice and transient analysis,
-and exports."""
+"""Orbit-graph construction, verification, lattice and census lanes."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
+import random
+from itertools import accumulate
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,24 +24,39 @@ from sandpiles import (
     build,
     enabled_moves,
     energy,
+    enumerate_fixed_points,
     export,
     frontier_step,
     lattice_check,
     sink_census,
     sinks,
+    spm_fixed_point,
     transient_stats,
     verify,
 )
 
+from sandpiles import census
+from sandpiles.census import _sspm_key_tables
+
 from conftest import (
+    compositions,
     naive_build,
+    naive_census,
     naive_is_lattice,
     naive_orbit,
     spm_firing_length,
     spm_firing_vector,
+    spm_orbit_size,
+    sspm_orbit_size,
 )
 
 C = Configuration
+
+
+def plain(census):
+    """A SinkCensus with its sinks as bare height tuples, the way
+    naive_census reports them."""
+    return census._replace(sinks=tuple(s.columns for s in census.sinks))
 
 
 def assert_topological(g):
@@ -218,6 +236,17 @@ class TestTruncation:
         assert g.truncated and g.vertex_count == 3
         assert json.loads(export(g, "json"))["truncated"] is True
 
+    def test_depth_cap(self):
+        # (4) has one shape a level, so a cap of two stops it at depth 1
+        g = build(C((4,)), Model.SPM, ExplorationLimits(max_vertices=2))
+        assert g.truncated
+        assert {v.columns for v in g.vertices} == {(4,), (3, 1)}
+
+    def test_depth_cap_no_false_positive(self):
+        # a cap of four takes (4) down to its sink at depth 3 and no further
+        g = build(C((4,)), Model.SPM, ExplorationLimits(max_vertices=4))
+        assert not g.truncated and g.vertex_count == 4
+
     def test_truncated_graph_refuses_analysis(self):
         g = build(C((8,)), Model.SSPM, ExplorationLimits(max_vertices=3))
         with pytest.raises(ValueError):
@@ -234,9 +263,10 @@ class TestTruncation:
         with pytest.raises(TypeError, match="max_vertices must be int, got 2.5"):
             ExplorationLimits(max_vertices=2.5)
 
-    def test_bool_cap_is_refused(self):
-        with pytest.raises(TypeError, match="max_vertices must be int, got True"):
-            ExplorationLimits(max_vertices=True)
+    @pytest.mark.parametrize("field", ["max_vertices"])
+    def test_bool_cap_is_refused(self, field):
+        with pytest.raises(TypeError, match=f"{field} must be int, got True"):
+            ExplorationLimits(**{field: True})
 
 
 class TestVerify:
@@ -652,6 +682,287 @@ class TestExport:
     def test_unsupported_format(self):
         with pytest.raises(ValueError):
             export(build(C((2,)), Model.SPM), "xml")
+
+
+class TestSinkCensus:
+    @pytest.mark.parametrize("model", [Model.SPM, Model.SSPM])
+    def test_agrees_with_full_build(self, model):
+        for n in range(1, 13):
+            g = build(C((n,)), model)
+            census = sink_census(C((n,)), model)
+            assert census.vertex_count == g.vertex_count, (n, model)
+            assert set(census.sinks) == set(sinks(g)), (n, model)
+            assert census.depth == max(g.depths), (n, model)
+            assert not census.truncated
+
+    def test_array_lane_matches_counting_recurrence(self):
+        # the sweep counts by dynamics, the recurrence by shape structure
+        for n in (10, 25, 40, 55):
+            census = sink_census(C((n,)), Model.SPM)
+            assert census.vertex_count == spm_orbit_size(n), n
+            assert census.sinks == (spm_fixed_point(n),)
+
+    def test_spm_depth_is_the_firing_length(self):
+        # the SPM lane reads its sinks off the last level, which every
+        # maximal run reaches after the same number of moves
+        for n in range(1, 61):
+            assert sink_census(C((n,)), Model.SPM).depth == spm_firing_length(n), n
+
+    def test_sspm_lane_matches_counting_recurrence(self):
+        # past the (1)..(24) of the acceptance sweep, by shape structure;
+        # (39) and (40) are the first single columns whose rows double
+        # three times, when a grain reaches 7 columns from the root
+        for n in (*range(1, 33), 39, 40):
+            census = sink_census(C((n,)), Model.SSPM)
+            assert census.vertex_count == sspm_orbit_size(n), n
+
+    def test_wide_roots(self):
+        for cols in [(6, 1, 6), (9, 2), (4, 4, 4)]:
+            for model in (Model.SPM, Model.SSPM):
+                g = build(C(cols), model)
+                census = sink_census(C(cols), model)
+                assert census.vertex_count == g.vertex_count
+                assert set(census.sinks) == set(sinks(g))
+
+    def test_spm_agrees_with_build_on_multi_column_roots(self):
+        # 40-60 grains in 2-3 columns, the scale of the bench's SPM roots:
+        # the census reads its one sink off the last level and its depth
+        # as every transient's length, which strong convergence promises
+        for cols in [(30, 10), (25, 25), (40, 5, 5), (24, 12, 14), (10, 20, 20), (45, 15)]:
+            g = build(C(cols), Model.SPM)
+            census = sink_census(C(cols), Model.SPM)
+            assert census.vertex_count == g.vertex_count, cols
+            assert len(census.sinks) == 1 and census.sinks == sinks(g), cols
+            assert transient_stats(g) == (census.depth, census.depth), cols
+            assert verify(g).checks[-1] == CheckResult("convergence", "pass"), cols
+
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            ExplorationLimits(max_vertices=2000),
+            ExplorationLimits(max_vertices=10),
+            ExplorationLimits(max_vertices=7),
+            ExplorationLimits(max_vertices=300),
+        ],
+    )
+    def test_spm_array_lane_takes_every_root(self, limits):
+        # rows are int8 up to a column of 127, int16 up to 32767, int32 up
+        # to 2^31 - 1 and int64 up to 2^63 - 1; every root takes the one
+        # SPM lane.  The second line sits at the edge of each type: a
+        # slope as low as 1 - max still fits once offset by -2, and -c_0
+        # = -max is kept as it is.
+        roots = [(127,), (128,), (255,), (256,), (300,), (130, 200), (5, 40000, 3)]
+        roots += [(126, 1), (1, 127), (32766, 1), (2**63 - 2, 1), (2**63 - 1,), (5, 2**63 - 1, 3)]
+        for cols in roots:
+            census = sink_census(C(cols), Model.SPM, limits)
+            assert plain(census) == naive_census(cols, "spm", limits), cols
+        census = sink_census(C((300,)), Model.SPM, ExplorationLimits(max_vertices=3))
+        # (300), (299,1), (298,2): level sizes 1, 1, 1, then 2
+        assert census.truncated and census.vertex_count == 3 and census.depth == 2
+
+    def test_vertex_cap_truncates(self):
+        limits = ExplorationLimits(max_vertices=50)
+        census = sink_census(C((30,)), Model.SPM, limits)
+        assert census.truncated
+        assert plain(census) == naive_census((30,), "spm", limits)
+
+    @pytest.mark.parametrize("model", [Model.SPM, Model.SSPM])
+    def test_matches_naive_census_on_small_roots(self, model):
+        # the plain visited-set oracle relies on the dynamics alone, so
+        # agreement on every small root pins down the SPM lane's
+        # canonical-parent rule (no shape emitted twice, none missed) and
+        # the SSPM lane's key, its XOR update, the margin columns and the
+        # global dedupe, since every SSPM shape recurs through the sorted
+        # key set, never the rows
+        limits = ExplorationLimits()
+        for n in range(1, 15):
+            for cols in compositions(n):
+                if len(cols) <= 4:
+                    want = naive_census(cols, model.value, limits)
+                    assert plain(sink_census(C(cols), model, limits)) == want, cols
+
+    def test_spm_rows_widen_at_the_edge(self, monkeypatch):
+        # rows are 2^s entries that keep their last column empty and
+        # double when column W - 2 fires; a tall last column makes that
+        # happen at the first level, and the long rows of ones later.  A
+        # staircase of 46 grains from column 5 reaches column 14, so its
+        # rows go from 8 to 16 to 32 entries; one of 45 stops at column 13
+        real = census._spm_tables
+        widths: list[int] = []
+
+        def record(width, signed):
+            widths.append(width)
+            return real(width, signed)
+
+        monkeypatch.setattr(census, "_spm_tables", record)
+        limits = ExplorationLimits()
+        roots = [(1,) * 6 + (k,) for k in (3, 4, 9, 20)]
+        roots += [(1,) * 7 + (12,), (1,) * 14 + (6,), (2,) * 6 + (10,), (3, 1, 1, 1, 1, 1, 1, 25)]
+        roots += [(1,) * 5 + (45,), (1,) * 5 + (46,)]
+        built = {}
+        for cols in roots:
+            widths.clear()
+            want = naive_census(cols, "spm", limits)
+            assert plain(sink_census(C(cols), Model.SPM, limits)) == want, cols
+            built[cols] = list(widths)
+        assert built[(1,) * 5 + (45,)] == [7, 15]
+        assert built[(1,) * 5 + (46,)] == [7, 15, 31]
+
+    @pytest.mark.parametrize("max_vertices", [1, 2, 7, 50, 300, 1000])
+    @pytest.mark.parametrize("model", [Model.SPM, Model.SSPM])
+    def test_matches_naive_census_under_limits(self, model, max_vertices):
+        limits = ExplorationLimits(max_vertices=max_vertices)
+        for cols in [(8,), (20,), (30,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
+            want = naive_census(cols, model.value, limits)
+            assert plain(sink_census(C(cols), model, limits)) == want, cols
+
+    @pytest.mark.parametrize("max_vertices", [500, 3000, 20000])
+    def test_sspm_rows_widen_at_either_margin(self, max_vertices):
+        # rows are 2^s entries that keep an empty first and last column
+        # and double, half the new entries on each side, when a child puts
+        # a grain in either: (40, 1, 1, 1, 1) at 20000 shapes and
+        # (20, 1, 1, 1, 1) uncapped double twice on the left, their
+        # mirrors twice on the right, and (30), (127) and (128) twice on
+        # both sides; (126, 1) and (127) hold int8 rows of partial sums,
+        # (128) int16 ones.  A third doubling needs a grain 7 columns out
+        # from a single column, and more from a wider root; (39), at
+        # 302,870 shapes, is the first root the tests double three times.
+        # A cap of 500 cuts every one of these roots at depth 12
+        limits = ExplorationLimits(max_vertices=max_vertices)
+        for cols in [
+            (30,),
+            (1, 29),
+            (29, 1),
+            (1, 1, 1, 1, 40),
+            (40, 1, 1, 1, 1),
+            (1, 1, 1, 1, 20),
+            (20, 1, 1, 1, 1),
+            (126, 1),
+            (127,),
+            (128,),
+        ]:
+            census = sink_census(C(cols), Model.SSPM, limits)
+            assert plain(census) == naive_census(cols, "sspm", limits), cols
+
+    @pytest.mark.parametrize(
+        "limits", [ExplorationLimits(max_vertices=2000), ExplorationLimits(max_vertices=40)]
+    )
+    def test_sspm_key_crosses_word_boundaries(self, limits):
+        # a key has one bit per interior partial sum, 64 to a word: (64)
+        # and (65) are the last one-word roots and (66) the first two-word
+        # one, and from (66) depth 2 moves a grain between sums 64 and 65,
+        # whose bits sit in different words
+        for cols in [(64,), (65,), (66,), (129,), (130,), (64, 2)]:
+            census = sink_census(C(cols), Model.SSPM, limits)
+            assert plain(census) == naive_census(cols, "sspm", limits), cols
+
+    def test_sspm_key_tables_match_the_definition(self):
+        # a shape's mask has bit (S - 1) % 64 of word (S - 1) // 64 set
+        # for each interior partial sum 0 < S < n, and its key is that
+        # mask XOR the root's; so a move's key must be its parent's key
+        # XOR flip[t], t the lower of the two sums the move passes its
+        # border's partial sum between, whatever the root
+        def words(sums, n, k):
+            mask = sum(1 << (s - 1) for s in sums if 0 < s < n)
+            return [mask >> 64 * w & (1 << 64) - 1 for w in range(k)]
+
+        def key(cols, n, k):
+            return words(accumulate(cols), n, k)
+
+        rng = random.Random(11)
+        for n in list(range(2, 12)) + [63, 64, 65, 66, 127, 128, 129, 130, 300] + rng.sample(range(12, 301), 20):
+            flip = _sspm_key_tables(n)
+            k = max(1, -(-(n - 1) // 64))
+            assert flip.shape == (n, k) and flip.dtype == np.uint64
+            for t in range(n):
+                assert flip[t].tolist() == words((t, t + 1), n, k), (n, t)
+            shapes = []
+            for _ in range(10):
+                cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(n - 1, 40))))
+                shapes.append([b - a for a, b in zip([0] + cuts, cuts + [n])])
+            # two columns whose border sum moves across a word boundary
+            shapes += [[s, n - s] for m in range(64, n - 1, 64) for s in (m, m + 1)]
+            for cols in shapes:
+                parent = key(cols, n, k)
+                for i, c in enumerate(cols):
+                    for step in (1, -1):
+                        j = i + step
+                        if c - (cols[j] if 0 <= j < len(cols) else 0) < 2:
+                            continue
+                        work = [0] + cols + [0]
+                        work[i + 1] -= 1
+                        work[j + 1] += 1
+                        child = [x for x in work if x]
+                        # the sum at the border crossed, before the move
+                        before = sum(cols[: i + 1] if step == 1 else cols[:i])
+                        t = before - 1 if step == 1 else before
+                        got = [p ^ f for p, f in zip(parent, flip[t].tolist())]
+                        assert got == key(child, n, k), (cols, i, step)
+
+    def test_spm_sinks_lie_on_the_deepest_level_only(self):
+        # the SPM lane reads sinks off its last level alone, which rests
+        # on chip-firing being strongly convergent; the plain oracle checks
+        # that here without the lane: one sink, and none above the deepest
+        # level, which a census cut one level short would report
+        for n in range(1, 15):
+            for cols in compositions(n):
+                if len(cols) <= 4:
+                    assert_spm_sink_is_unique_and_deepest(cols)
+
+    def test_spm_last_level_that_can_fire_is_an_error(self, monkeypatch):
+        # a kept-move table that hides every child leaves a last level
+        # whose rows can still fire; the lane names the root and depth
+        real = census._spm_tables
+
+        def hide_all(width, signed):
+            moves, keep = real(width, signed)
+            return moves, np.zeros_like(keep)
+
+        monkeypatch.setattr(census, "_spm_tables", hide_all)
+        with pytest.raises(RuntimeError, match=r"\(3, 1\).*depth 0"):
+            sink_census(C((3, 1)), Model.SPM)
+
+    def test_sspm_sinks_are_the_fixed_point_templates(self):
+        # the dynamics route and the template route, shape for shape
+        for n in range(1, 25):
+            assert sink_census(C((n,)), Model.SSPM).sinks == enumerate_fixed_points(n), n
+
+    @pytest.mark.parametrize("model", [Model.SPM, Model.SSPM])
+    def test_root_no_row_type_holds_is_refused(self, model):
+        # a column of 2^63 needs more than int64 under either model; the
+        # error names the root before any table is built
+        with pytest.raises(OverflowError, match=r"\(9223372036854775808,\)"):
+            sink_census(C((2**63,)), model, ExplorationLimits(max_vertices=3))
+
+    def test_depth_cap(self):
+        # the census takes a level whole or not at all, so a vertex cap
+        # stops it at the deepest level that fits: levels 0-3 of (8) hold
+        # 1 + 2 + 3 + 6 = 12 shapes and level 4 eight more
+        full = sink_census(C((8,)), Model.SSPM)
+        assert not full.truncated and full.depth > 3
+        for cap in (12, 19):
+            census = sink_census(C((8,)), Model.SSPM, ExplorationLimits(max_vertices=cap))
+            assert census.truncated and census.depth == 3 and census.vertex_count == 12, cap
+
+
+def assert_spm_sink_is_unique_and_deepest(cols):
+    # naive_build gives every shape its depth, so the one sink must have
+    # the largest
+    _, _, depths, sink_ids, truncated = naive_build(cols, "spm", ExplorationLimits())
+    assert not truncated and len(sink_ids) == 1, (cols, sink_ids)
+    assert depths[sink_ids[0]] == max(depths), (cols, depths)
+
+
+# 1-6 columns, at most 30 grains: the longest prefix of the drawn columns
+# that holds no more
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=6).map(
+        lambda t: tuple(c for c, s in zip(t, accumulate(t)) if s <= 30)
+    )
+)
+def test_spm_sinks_lie_on_the_deepest_level_on_random_roots(cols):
+    assert_spm_sink_is_unique_and_deepest(cols)
 
 
 # 1-3 columns, at most 12 grains: small enough for the naive BFS oracle

@@ -57,7 +57,7 @@ CLI = "src/sandpiles/cli.py"
 CORE = "src/sandpiles/core.py"
 ORBIT = "src/sandpiles/orbit.py"
 STRUCTURE = "src/sandpiles/structure.py"
-CENSUS_TESTS = "tests/test_census.py::TestSinkCensus::"
+CENSUS_TESTS = "tests/test_orbit.py::TestSinkCensus::"
 
 MUTANTS = (
     Mutant(
