@@ -105,7 +105,7 @@ from itertools import accumulate, count
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .core import Configuration, Model
-from .orbit import ExplorationLimits
+from .orbit import MAX_VERTICES, _check_cap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -312,11 +312,7 @@ def _sspm_levels(cols: tuple[int, ...]) -> Iterator[tuple[list, int]]:
         a = kids
 
 
-def sink_census(
-    root: Configuration,
-    model: Model,
-    limits: ExplorationLimits | None = None,
-) -> SinkCensus:
+def sink_census(root: Configuration, model: Model, max_vertices: int = MAX_VERTICES) -> SinkCensus:
     """Count the reachable shapes and collect the sinks, without edges.
 
     This loop alone owns the sweep's policy: the shape count, the depth,
@@ -325,7 +321,11 @@ def sink_census(
     and the size of the next level, 0 when there is none.  The next
     level is taken whole or not at all: when it would bring the count
     past max_vertices, the census is flagged truncated, and the lane,
-    never resumed, never builds that level's rows.
+    never resumed, never builds that level's rows.  So on (12) under
+    SSPM a cap of 5 stops the census at 3 vertices and depth 1, where
+    build, which keeps the first new shapes of a cut level in
+    lexicographic order, stops at 5 vertices and depth 2.  The cap must
+    be a positive plain int; floats, strings and bools raise TypeError.
 
     A root whose rows need more than 64 bits raises OverflowError, naming
     it, and an SPM row on the last level that can still fire raises
@@ -334,8 +334,7 @@ def sink_census(
     pins down on small cases, and with a plain visited-set search in the
     tests.
     """
-    if limits is None:
-        limits = ExplorationLimits()
+    _check_cap(max_vertices)
     model = Model(model)
     lane = _spm_levels if model is Model.SPM else _sspm_levels
     vertex_count, depth, truncated = 1, 0, False
@@ -344,7 +343,7 @@ def sink_census(
         found += level_sinks
         if not size:
             break
-        if vertex_count + size > limits.max_vertices:
+        if vertex_count + size > max_vertices:
             truncated = True
             break
         vertex_count += size

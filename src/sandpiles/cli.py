@@ -21,7 +21,7 @@ from pathlib import Path
 from .census import SinkCensus, sink_census
 from .core import Configuration, Model, _fire
 from .orbit import (
-    ExplorationLimits,
+    MAX_VERTICES,
     OrbitGraph,
     build,
     export,
@@ -81,7 +81,7 @@ def render_gallery(shapes: tuple[Configuration, ...]) -> str:
 
 
 def count_table(
-    n_max: int, bfs_cutoff: int, limits: ExplorationLimits | None = None
+    n_max: int, bfs_cutoff: int, max_vertices: int = MAX_VERTICES
 ) -> tuple[list[tuple[int, int, int, int, int | str | None]], bool, tuple[int, SinkCensus] | None]:
     """Rows (n, single-top, wide-top, closed-form total, search total).
 
@@ -101,7 +101,9 @@ def count_table(
         census = fixed_point_counts(n)
         searched: int | str | None = None
         if n <= bfs_cutoff:
-            swept = sink_census(Configuration((n,)), Model.SSPM, limits)
+            # the cap goes positionally: the bench's census wrapper forwards
+            # the third positional argument
+            swept = sink_census(Configuration((n,)), Model.SSPM, max_vertices)
             searched = TRUNCATED if swept.truncated else len(swept.sinks)
             if swept.truncated and cut is None:
                 cut = (n, swept)
@@ -168,23 +170,18 @@ def _root(ns: argparse.Namespace) -> Configuration:
     return ns.config if ns.config is not None else Configuration((ns.n,))
 
 
-def _limits(ns: argparse.Namespace) -> ExplorationLimits:
-    given = {} if ns.max_vertices is None else {"max_vertices": ns.max_vertices}
-    return ExplorationLimits(**given)
-
-
-def _limit_hit(what: str, limits: ExplorationLimits, vertices: int, depth: int) -> int:
+def _limit_hit(what: str, max_vertices: int, vertices: int, depth: int) -> int:
     # One stderr line per exit 3; standard output is left as it was.
     print(
-        f"error: {what} exceeds max_vertices={limits.max_vertices}:"
+        f"error: {what} exceeds max_vertices={max_vertices}:"
         f" stopped at {vertices} vertices, depth {depth}",
         file=sys.stderr,
     )
     return EXIT_LIMIT
 
 
-def _graph_limit_hit(g: OrbitGraph, limits: ExplorationLimits) -> int:
-    return _limit_hit(f"og(({g.root}))", limits, g.vertex_count, max(g.depths))
+def _graph_limit_hit(g: OrbitGraph, max_vertices: int) -> int:
+    return _limit_hit(f"og(({g.root}))", max_vertices, g.vertex_count, max(g.depths))
 
 
 def _cmd_evolve(ns: argparse.Namespace) -> int:
@@ -203,10 +200,9 @@ def _cmd_evolve(ns: argparse.Namespace) -> int:
 
 
 def _cmd_graph(ns: argparse.Namespace) -> int:
-    limits = _limits(ns)
-    g = build(_root(ns), Model(ns.model), limits)
+    g = build(_root(ns), Model(ns.model), ns.max_vertices)
     _emit(export(g, ns.format), ns.out)
-    return _graph_limit_hit(g, limits) if g.truncated else EXIT_OK
+    return _graph_limit_hit(g, ns.max_vertices) if g.truncated else EXIT_OK
 
 
 def _cmd_fixpoints(ns: argparse.Namespace) -> int:
@@ -224,8 +220,7 @@ def _cmd_fixpoints(ns: argparse.Namespace) -> int:
 
 
 def _cmd_count(ns: argparse.Namespace) -> int:
-    limits = _limits(ns)
-    rows, ok, cut = count_table(ns.n, ns.bfs_cutoff, limits)
+    rows, ok, cut = count_table(ns.n, ns.bfs_cutoff, ns.max_vertices)
     header = ("n", "g1", "g2", "closed", "search")
     if ns.format == "csv":
         lines = [",".join(header)]
@@ -246,16 +241,17 @@ def _cmd_count(ns: argparse.Namespace) -> int:
     if cut is None:
         return EXIT_OK
     n, census = cut
-    return _limit_hit(f"og(({n})), the first truncated row,", limits, census.vertex_count, census.depth)
+    return _limit_hit(
+        f"og(({n})), the first truncated row,", ns.max_vertices, census.vertex_count, census.depth
+    )
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    limits = _limits(ns)
-    g = build(_root(ns), Model(ns.model), limits)
+    g = build(_root(ns), Model(ns.model), ns.max_vertices)
     report = verify(g)
     _emit(str(report), ns.out)
     if g.truncated:
-        return _graph_limit_hit(g, limits)
+        return _graph_limit_hit(g, ns.max_vertices)
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
@@ -271,12 +267,11 @@ def _cmd_profile(ns: argparse.Namespace) -> int:
         + (" lattice" if spm else ""),
         flush=True,
     )
-    limits = ExplorationLimits()
     for n in range(1, ns.n + 1):
         t0 = time.perf_counter()
-        g = build(Configuration((n,)), model, limits)
+        g = build(Configuration((n,)), model, MAX_VERTICES)
         if g.truncated:
-            return _graph_limit_hit(g, limits)
+            return _graph_limit_hit(g, MAX_VERTICES)
         stats = transient_stats(g)
         row = (
             f"{n:>4} {g.vertex_count:>9} {len(g.edges):>9} {len(g.sink_ids):>6}"
@@ -315,7 +310,14 @@ def _parser() -> argparse.ArgumentParser:
         group.add_argument("--config", type=_shape, metavar="H1,H2,...", help="start from an explicit shape")
 
     def add_limit(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-vertices", type=_positive_int)
+        p.add_argument(
+            "--max-vertices",
+            type=_positive_int,
+            default=MAX_VERTICES,
+            help="stop exploring at this many shapes and exit 3 (default %(default)s); "
+            "graph and verify keep the first shapes of a cut level in lexicographic "
+            "order, count takes a level whole or not at all",
+        )
 
     def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write to this path instead of standard output")

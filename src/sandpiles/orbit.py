@@ -24,27 +24,16 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True)
-class ExplorationLimits:
-    """The guard rail for exploration: at most max_vertices shapes.
-    Hitting it flags the result as truncated rather than raising.  It
-    must be a positive plain int; floats, strings and bools are refused
-    with a TypeError.
+# The one exploration limit: build and sink_census stop at this many
+# shapes unless given another cap.
+MAX_VERTICES = 5_000_000
 
-    The two explorers cut a level differently.  ``build`` keeps the first
-    new shapes of a level, in lexicographic order, up to max_vertices;
-    ``sink_census`` takes a level whole or not at all.  So on (12) under
-    SSPM, max_vertices=5 stops ``build`` at 5 vertices and depth 2, and
-    the census at 3 vertices and depth 1.
-    """
 
-    max_vertices: int = 5_000_000
-
-    def __post_init__(self) -> None:
-        if type(self.max_vertices) is not int:
-            raise TypeError(f"max_vertices must be int, got {self.max_vertices!r}")
-        if self.max_vertices < 1:
-            raise ValueError("max_vertices must be positive")
+def _check_cap(max_vertices: int) -> None:
+    if type(max_vertices) is not int:
+        raise TypeError(f"max_vertices must be int, got {max_vertices!r}")
+    if max_vertices < 1:
+        raise ValueError("max_vertices must be positive")
 
 
 @dataclass(frozen=True)
@@ -134,24 +123,26 @@ class OrbitGraph:
         return len(self.vertices)
 
 
-def build(
-    root: Configuration,
-    model: Model,
-    limits: ExplorationLimits | None = None,
-) -> OrbitGraph:
+def build(root: Configuration, model: Model, max_vertices: int = MAX_VERTICES) -> OrbitGraph:
     """Explore everything reachable from root and intern it as a graph.
 
     Exploration is breadth-first with the frontier kept in lexicographic
     order, and each level is finished before the next is explored: its
     vertices are expanded, the shapes new to the graph are interned, and
     the level's sinks and edges are recorded.  Every interned vertex is
-    expanded exactly once, also when max_vertices cuts exploration short
-    (see ExplorationLimits); the graph is then flagged truncated and keeps
-    what was found.  A vertex is a sink when it has no move at all, judged
-    before any cut, and edges go only into interned shapes.
+    expanded exactly once, also when max_vertices cuts exploration short;
+    the graph is then flagged truncated and keeps what was found.  A
+    vertex is a sink when it has no move at all, judged before any cut,
+    and edges go only into interned shapes.
+
+    The cap keeps the first new shapes of a level, in lexicographic
+    order, up to max_vertices in all, so on (12) under SSPM a cap of 5
+    stops the graph at 5 vertices and depth 2 (sink_census, which takes
+    a level whole or not at all, stops at 3 vertices and depth 1).  It
+    must be a positive plain int; floats, strings and bools raise
+    TypeError.
     """
-    if limits is None:
-        limits = ExplorationLimits()
+    _check_cap(max_vertices)
     model = Model(model)
     # a shape's id is its place in intern, whose keys are the vertices, and
     # in outs, since the shapes are expanded once each, in id order
@@ -165,7 +156,7 @@ def build(
     while frontier:
         level = [{child for _, _, child in _fire(t, model)} for t in frontier]
         fresh = sorted(set().union(*level) - intern.keys())
-        room = limits.max_vertices - len(intern)
+        room = max_vertices - len(intern)
         if len(fresh) > room:
             truncated = True
             fresh = fresh[:room]
@@ -353,12 +344,16 @@ def _theory_checks(g: OrbitGraph) -> list[CheckResult]:
     n = g.root.grains
     got = sorted(sinks(g))
     want = [spm_fixed_point(n)] if g.model is Model.SPM else list(enumerate_fixed_points(n))
+    missing = next((f"({v}) missing" for v in want if v not in got), None)
+    unexpected = next((f"({v}) unexpected" for v in got if v not in want), None)
+    witnesses = ", ".join(filter(None, (missing, unexpected)))
     return [
         _judged("lr-decomposable", next(splitless, None)),
         _judged("membership", f"({failed[0]}) fails the predicate" if failed else None),
         _judged("top-width", next(wide, None)),
         _judged(
-            "sink-census", f"found {len(got)} sinks, expected {len(want)}" if got != want else None
+            "sink-census",
+            f"found {len(got)} sinks, expected {len(want)}: {witnesses}" if got != want else None,
         ),
     ]
 

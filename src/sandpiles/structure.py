@@ -233,16 +233,13 @@ def fixed_point_counts(n: int, include_shapes: bool = False) -> FixedPointCensus
     """
     if n < 1:
         raise ValueError("need at least one grain")
-    p = isqrt(n)
-    u = n - p * p
+    p, u, q, v = _pyramids(n)
     if u < p:
         g1 = u + 1
     elif u < 2 * p:
         g1 = 2 * p - u - 1
     else:
         g1 = 0
-    q = (isqrt(4 * n + 1) - 1) // 2
-    v = n - q * q - q
     if v < q:
         g2 = v + 1
     elif v == q:
@@ -251,6 +248,14 @@ def fixed_point_counts(n: int, include_shapes: bool = False) -> FixedPointCensus
         g2 = 2 * q - v + 1
     shapes = enumerate_fixed_points(n) if include_shapes else None
     return FixedPointCensus(n, g1, g2, shapes)
+
+
+def _pyramids(n: int) -> tuple[int, int, int, int]:
+    # The tallest pyramids that n grains cover, 1..p..1 of p*p grains and
+    # 1..q,q..1 of q*q+q, each with the grains u and v left above it.
+    p = isqrt(n)
+    q = (isqrt(4 * n + 1) - 1) // 2
+    return p, n - p * p, q, n - q * q - q
 
 
 def _stairs(h: int, j: int) -> tuple[int, ...]:
@@ -289,11 +294,8 @@ def _family(h: int, wide: int, spare: int) -> list[tuple[int, ...]]:
 
 
 def _fixed_point_tuples(n: int) -> list[tuple[int, ...]]:
-    p = isqrt(n)
-    u = n - p * p
+    p, u, q, v = _pyramids(n)
     single = _family(p, 0, u)
-    q = (isqrt(4 * n + 1) - 1) // 2
-    v = n - q * q - q
     double = _family(q, 1, v)  # empty at n = 1, where q = 0 and v = 1
     # A shape leaves the staircase 1, 2, 3, ... at index jl, where it
     # repeats jl, or at its top (index p or q) when jl = 0.  There it is

@@ -62,7 +62,7 @@ def naive_orbit(
 
 
 def naive_census(
-    cols: tuple[int, ...], model: str, limits
+    cols: tuple[int, ...], model: str, max_vertices: int
 ) -> tuple[int, tuple[tuple[int, ...], ...], int, bool]:
     """Plain level-by-level BFS over naive_successors, read as a sink
     census: (shapes counted, sinks in sorted order, depth, truncated).
@@ -86,7 +86,7 @@ def naive_census(
             new.update(kids - seen)
         if not new:
             break
-        if len(seen) + len(new) > limits.max_vertices:
+        if len(seen) + len(new) > max_vertices:
             truncated = True
             break
         seen |= new
@@ -95,7 +95,7 @@ def naive_census(
     return len(seen), tuple(sorted(dead)), depth, truncated
 
 
-def naive_build(cols: tuple[int, ...], model: str, limits) -> tuple[
+def naive_build(cols: tuple[int, ...], model: str, max_vertices: int) -> tuple[
     tuple[tuple[int, ...], ...],
     tuple[tuple[int, int], ...],
     tuple[int, ...],
@@ -119,7 +119,7 @@ def naive_build(cols: tuple[int, ...], model: str, limits) -> tuple[
     while level:
         depth = depth_of[level[0]]
         new = sorted({d for c in level for d in naive_successors(c, model)} - set(depth_of))
-        while new and len(order) + len(new) > limits.max_vertices:
+        while new and len(order) + len(new) > max_vertices:
             truncated = True
             new.pop()
         for d in new:

@@ -13,7 +13,6 @@ import pytest
 import sandpiles
 from sandpiles import (
     Configuration,
-    ExplorationLimits,
     Model,
     OrbitGraph,
     build,
@@ -34,6 +33,7 @@ from sandpiles.cli import (
     render_ascii,
     render_gallery,
 )
+from sandpiles.orbit import MAX_VERTICES
 
 C = Configuration
 
@@ -135,7 +135,7 @@ class TestCountTable:
         assert all(r[4] is None for r in rows[4:])
 
     def test_first_truncated_sweep_is_returned(self):
-        rows, ok, cut = count_table(10, 10, ExplorationLimits(max_vertices=5))
+        rows, ok, cut = count_table(10, 10, 5)
         n, census = cut
         assert ok and n == 4 and census.truncated
         assert census.vertex_count == 5 and census.depth == 2
@@ -249,8 +249,8 @@ class TestMainWithFiles:
 
         real = cli.sink_census
 
-        def one_short(root, model, limits=None):
-            census = real(root, model, limits)
+        def one_short(root, model, max_vertices):
+            census = real(root, model, max_vertices)
             return census._replace(sinks=census.sinks[:-1]) if root.grains == 5 else census
 
         monkeypatch.setattr(cli, "sink_census", one_short)
@@ -286,7 +286,7 @@ class TestMainWithFiles:
             sink_ids=(3,),
             truncated=False,
         )
-        monkeypatch.setattr(cli, "build", lambda root, model, limits=None: rising)
+        monkeypatch.setattr(cli, "build", lambda root, model, max_vertices: rising)
         out = tmp_path / "v.txt"
         rc = main(["verify", "--n", "4", "--model", "spm", "--out", str(out)])
         assert rc == EXIT_MISMATCH
@@ -302,9 +302,8 @@ class TestMainWithFiles:
 
     def test_profile_limit_exit(self, capsys, monkeypatch):
         from sandpiles import cli
-        from sandpiles.orbit import ExplorationLimits
 
-        monkeypatch.setattr(cli, "ExplorationLimits", lambda: ExplorationLimits(max_vertices=30))
+        monkeypatch.setattr(cli, "MAX_VERTICES", 30)
         rc = main(["profile", "--n", "8"])
         assert rc == EXIT_LIMIT
         captured = capsys.readouterr()
@@ -334,9 +333,9 @@ class TestMainWithFiles:
         seen = []
 
         def spy(explore):
-            def run(root, model, limits=None):
-                seen.append(limits)
-                return explore(root, model, limits)
+            def run(root, model, max_vertices):
+                seen.append(max_vertices)
+                return explore(root, model, max_vertices)
 
             return run
 
@@ -344,7 +343,7 @@ class TestMainWithFiles:
         monkeypatch.setattr(cli, "sink_census", spy(cli.sink_census))
         rc = main([command, "--n", "3", "--out", str(tmp_path / "out")])
         assert rc == EXIT_OK
-        assert seen and all(x.max_vertices == ExplorationLimits().max_vertices for x in seen)
+        assert seen and all(x == MAX_VERTICES for x in seen)
 
 
 class TestUsageErrors:

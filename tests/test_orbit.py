@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from sandpiles import (
     CheckResult,
     Configuration,
-    ExplorationLimits,
     Model,
     OrbitGraph,
     apply_move,
@@ -37,6 +36,7 @@ from sandpiles import (
 
 from sandpiles import census
 from sandpiles.census import _sspm_key_tables
+from sandpiles.orbit import MAX_VERTICES
 
 from conftest import (
     compositions,
@@ -167,7 +167,7 @@ EXPORT_FAMILIES = {
     "wide_roots": lambda: [
         build(C(r), m) for r in [(5, 1, 5), (3, 4), (2, 1, 3)] for m in (Model.SPM, Model.SSPM)
     ],
-    "capped": lambda: [build(C((10,)), Model.SSPM, ExplorationLimits(max_vertices=50))],
+    "capped": lambda: [build(C((10,)), Model.SSPM, 50)],
 }
 EXPORT_DIGESTS = {
     ("sspm_columns", "json"): "545814176262fe3dd63c644f5d58adbc52c8bd111724f174f3bf4a4b5743e6dd",
@@ -232,41 +232,43 @@ class TestLevels:
 
 class TestTruncation:
     def test_vertex_cap(self):
-        g = build(C((8,)), Model.SSPM, ExplorationLimits(max_vertices=3))
+        g = build(C((8,)), Model.SSPM, 3)
         assert g.truncated and g.vertex_count == 3
         assert json.loads(export(g, "json"))["truncated"] is True
 
     def test_depth_cap(self):
         # (4) has one shape a level, so a cap of two stops it at depth 1
-        g = build(C((4,)), Model.SPM, ExplorationLimits(max_vertices=2))
+        g = build(C((4,)), Model.SPM, 2)
         assert g.truncated
         assert {v.columns for v in g.vertices} == {(4,), (3, 1)}
 
     def test_depth_cap_no_false_positive(self):
         # a cap of four takes (4) down to its sink at depth 3 and no further
-        g = build(C((4,)), Model.SPM, ExplorationLimits(max_vertices=4))
+        g = build(C((4,)), Model.SPM, 4)
         assert not g.truncated and g.vertex_count == 4
 
     def test_truncated_graph_refuses_analysis(self):
-        g = build(C((8,)), Model.SSPM, ExplorationLimits(max_vertices=3))
+        g = build(C((8,)), Model.SSPM, 3)
         with pytest.raises(ValueError):
             transient_stats(g)
         with pytest.raises(ValueError):
             lattice_check(g)
 
-    def test_limits_validation(self):
-        with pytest.raises(ValueError):
-            ExplorationLimits(max_vertices=0)
-
-    def test_fractional_vertex_cap_is_refused(self):
-        # accepted, it would reach build and fail there in a slice
-        with pytest.raises(TypeError, match="max_vertices must be int, got 2.5"):
-            ExplorationLimits(max_vertices=2.5)
-
-    @pytest.mark.parametrize("field", ["max_vertices"])
-    def test_bool_cap_is_refused(self, field):
-        with pytest.raises(TypeError, match=f"{field} must be int, got True"):
-            ExplorationLimits(**{field: True})
+    @pytest.mark.parametrize(
+        "cap, error, message",
+        [
+            (0, ValueError, "max_vertices must be positive"),
+            (-1, ValueError, "max_vertices must be positive"),
+            # accepted, a fractional cap would reach build and fail there in a slice
+            (2.5, TypeError, "max_vertices must be int, got 2.5"),
+            (True, TypeError, "max_vertices must be int, got True"),
+        ],
+        ids=["zero", "negative", "fractional", "bool"],
+    )
+    @pytest.mark.parametrize("explore", [build, sink_census], ids=["build", "census"])
+    def test_bad_vertex_cap_is_refused(self, explore, cap, error, message):
+        with pytest.raises(error, match=message):
+            explore(C((4,)), Model.SPM, cap)
 
 
 class TestVerify:
@@ -378,7 +380,7 @@ class TestVerify:
             CheckResult("lr-decomposable", "fail", "(3,1,3) has no monotone split"),
             CheckResult("membership", "fail", "(3,1,3) fails the predicate"),
             CheckResult("top-width", "pass"),
-            CheckResult("sink-census", "fail", "found 1 sinks, expected 2"),
+            CheckResult("sink-census", "fail", "found 1 sinks, expected 2: (1,1,2,1) missing"),
         )
 
     def test_split_witness_is_searched_past_the_first_failed_member(self):
@@ -389,7 +391,7 @@ class TestVerify:
             CheckResult("lr-decomposable", "fail", "(2,1,2) has no monotone split"),
             CheckResult("membership", "fail", "(1,1,1,1,1) fails the predicate"),
             CheckResult("top-width", "fail", "(1,1,1,1,1) has top wider than 4"),
-            CheckResult("sink-census", "fail", "found 1 sinks, expected 2"),
+            CheckResult("sink-census", "fail", "found 1 sinks, expected 2: (1,1,2,1) missing"),
         )
 
     def test_top_width_witness_is_searched_past_the_first_failed_member(self):
@@ -400,6 +402,13 @@ class TestVerify:
             CheckResult("lr-decomposable", "fail", "(2,1,2) has no monotone split"),
             CheckResult("membership", "fail", "(2,1,2) fails the predicate"),
             CheckResult("top-width", "fail", "(1,1,1,1,1) has top wider than 4"),
+        )
+
+    def test_sink_census_names_the_first_missing_sink(self):
+        # both SSPM sinks of 5 grains, (1,1,2,1) and (1,2,1,1), are missing
+        g = self.fabricated(Model.SSPM, [(5,), (4, 1)], ())
+        assert verify(g).checks[-1] == CheckResult(
+            "sink-census", "fail", "found 0 sinks, expected 2: (1,1,2,1) missing"
         )
 
     def test_wide_tops_fail_with_the_first_in_id_order(self):
@@ -424,7 +433,9 @@ class TestVerify:
             CheckResult("lr-decomposable", "pass"),
             CheckResult("membership", "fail", "(1,2) fails the predicate"),
             CheckResult("top-width", "fail", "(1,1,1) has top wider than 2"),
-            CheckResult("sink-census", "fail", "found 1 sinks, expected 1"),
+            CheckResult(
+                "sink-census", "fail", "found 1 sinks, expected 1: (2,1) missing, (1,1,1) unexpected"
+            ),
             CheckResult("convergence", "pass"),
         )
 
@@ -459,7 +470,7 @@ class TestVerify:
         assert verify(two).checks[-1] == want
 
     def test_truncated_graph_skips_reachability_checks(self):
-        g = build(C((8,)), Model.SSPM, ExplorationLimits(max_vertices=3))
+        g = build(C((8,)), Model.SSPM, 3)
         rep = verify(g)
         statuses = {c.name: c.status for c in rep.checks}
         assert statuses["energy-decrease"] == "pass"
@@ -469,7 +480,7 @@ class TestVerify:
         assert rep.ok  # skips are not failures
 
     def test_truncated_spm_graph_skips_convergence(self):
-        rep = verify(build(C((8,)), Model.SPM, ExplorationLimits(max_vertices=3)))
+        rep = verify(build(C((8,)), Model.SPM, 3))
         assert rep.checks[-1] == CheckResult("convergence", "skipped", "graph truncated")
 
     def test_wide_root_skips_membership_theory(self):
@@ -736,16 +747,8 @@ class TestSinkCensus:
             assert transient_stats(g) == (census.depth, census.depth), cols
             assert verify(g).checks[-1] == CheckResult("convergence", "pass"), cols
 
-    @pytest.mark.parametrize(
-        "limits",
-        [
-            ExplorationLimits(max_vertices=2000),
-            ExplorationLimits(max_vertices=10),
-            ExplorationLimits(max_vertices=7),
-            ExplorationLimits(max_vertices=300),
-        ],
-    )
-    def test_spm_array_lane_takes_every_root(self, limits):
+    @pytest.mark.parametrize("max_vertices", [2000, 10, 7, 300])
+    def test_spm_array_lane_takes_every_root(self, max_vertices):
         # rows are int8 up to a column of 127, int16 up to 32767, int32 up
         # to 2^31 - 1 and int64 up to 2^63 - 1; every root takes the one
         # SPM lane.  The second line sits at the edge of each type: a
@@ -754,17 +757,16 @@ class TestSinkCensus:
         roots = [(127,), (128,), (255,), (256,), (300,), (130, 200), (5, 40000, 3)]
         roots += [(126, 1), (1, 127), (32766, 1), (2**63 - 2, 1), (2**63 - 1,), (5, 2**63 - 1, 3)]
         for cols in roots:
-            census = sink_census(C(cols), Model.SPM, limits)
-            assert plain(census) == naive_census(cols, "spm", limits), cols
-        census = sink_census(C((300,)), Model.SPM, ExplorationLimits(max_vertices=3))
+            census = sink_census(C(cols), Model.SPM, max_vertices)
+            assert plain(census) == naive_census(cols, "spm", max_vertices), cols
+        census = sink_census(C((300,)), Model.SPM, 3)
         # (300), (299,1), (298,2): level sizes 1, 1, 1, then 2
         assert census.truncated and census.vertex_count == 3 and census.depth == 2
 
     def test_vertex_cap_truncates(self):
-        limits = ExplorationLimits(max_vertices=50)
-        census = sink_census(C((30,)), Model.SPM, limits)
+        census = sink_census(C((30,)), Model.SPM, 50)
         assert census.truncated
-        assert plain(census) == naive_census((30,), "spm", limits)
+        assert plain(census) == naive_census((30,), "spm", 50)
 
     @pytest.mark.parametrize("model", [Model.SPM, Model.SSPM])
     def test_matches_naive_census_on_small_roots(self, model):
@@ -774,12 +776,11 @@ class TestSinkCensus:
         # the SSPM lane's key, its XOR update, the margin columns and the
         # global dedupe, since every SSPM shape recurs through the sorted
         # key set, never the rows
-        limits = ExplorationLimits()
         for n in range(1, 15):
             for cols in compositions(n):
                 if len(cols) <= 4:
-                    want = naive_census(cols, model.value, limits)
-                    assert plain(sink_census(C(cols), model, limits)) == want, cols
+                    want = naive_census(cols, model.value, MAX_VERTICES)
+                    assert plain(sink_census(C(cols), model)) == want, cols
 
     def test_spm_rows_widen_at_the_edge(self, monkeypatch):
         # rows are 2^s entries that keep their last column empty and
@@ -795,15 +796,14 @@ class TestSinkCensus:
             return real(width, signed)
 
         monkeypatch.setattr(census, "_spm_tables", record)
-        limits = ExplorationLimits()
         roots = [(1,) * 6 + (k,) for k in (3, 4, 9, 20)]
         roots += [(1,) * 7 + (12,), (1,) * 14 + (6,), (2,) * 6 + (10,), (3, 1, 1, 1, 1, 1, 1, 25)]
         roots += [(1,) * 5 + (45,), (1,) * 5 + (46,)]
         built = {}
         for cols in roots:
             widths.clear()
-            want = naive_census(cols, "spm", limits)
-            assert plain(sink_census(C(cols), Model.SPM, limits)) == want, cols
+            want = naive_census(cols, "spm", MAX_VERTICES)
+            assert plain(sink_census(C(cols), Model.SPM)) == want, cols
             built[cols] = list(widths)
         assert built[(1,) * 5 + (45,)] == [7, 15]
         assert built[(1,) * 5 + (46,)] == [7, 15, 31]
@@ -811,10 +811,9 @@ class TestSinkCensus:
     @pytest.mark.parametrize("max_vertices", [1, 2, 7, 50, 300, 1000])
     @pytest.mark.parametrize("model", [Model.SPM, Model.SSPM])
     def test_matches_naive_census_under_limits(self, model, max_vertices):
-        limits = ExplorationLimits(max_vertices=max_vertices)
         for cols in [(8,), (20,), (30,), (6, 1, 6), (9, 2), (12, 3, 5, 1)]:
-            want = naive_census(cols, model.value, limits)
-            assert plain(sink_census(C(cols), model, limits)) == want, cols
+            want = naive_census(cols, model.value, max_vertices)
+            assert plain(sink_census(C(cols), model, max_vertices)) == want, cols
 
     @pytest.mark.parametrize("max_vertices", [500, 3000, 20000])
     def test_sspm_rows_widen_at_either_margin(self, max_vertices):
@@ -828,7 +827,6 @@ class TestSinkCensus:
         # from a single column, and more from a wider root; (39), at
         # 302,870 shapes, is the first root the tests double three times.
         # A cap of 500 cuts every one of these roots at depth 12
-        limits = ExplorationLimits(max_vertices=max_vertices)
         for cols in [
             (30,),
             (1, 29),
@@ -841,20 +839,18 @@ class TestSinkCensus:
             (127,),
             (128,),
         ]:
-            census = sink_census(C(cols), Model.SSPM, limits)
-            assert plain(census) == naive_census(cols, "sspm", limits), cols
+            census = sink_census(C(cols), Model.SSPM, max_vertices)
+            assert plain(census) == naive_census(cols, "sspm", max_vertices), cols
 
-    @pytest.mark.parametrize(
-        "limits", [ExplorationLimits(max_vertices=2000), ExplorationLimits(max_vertices=40)]
-    )
-    def test_sspm_key_crosses_word_boundaries(self, limits):
+    @pytest.mark.parametrize("max_vertices", [2000, 40])
+    def test_sspm_key_crosses_word_boundaries(self, max_vertices):
         # a key has one bit per interior partial sum, 64 to a word: (64)
         # and (65) are the last one-word roots and (66) the first two-word
         # one, and from (66) depth 2 moves a grain between sums 64 and 65,
         # whose bits sit in different words
         for cols in [(64,), (65,), (66,), (129,), (130,), (64, 2)]:
-            census = sink_census(C(cols), Model.SSPM, limits)
-            assert plain(census) == naive_census(cols, "sspm", limits), cols
+            census = sink_census(C(cols), Model.SSPM, max_vertices)
+            assert plain(census) == naive_census(cols, "sspm", max_vertices), cols
 
     def test_sspm_key_tables_match_the_definition(self):
         # a shape's mask has bit (S - 1) % 64 of word (S - 1) // 64 set
@@ -932,7 +928,7 @@ class TestSinkCensus:
         # a column of 2^63 needs more than int64 under either model; the
         # error names the root before any table is built
         with pytest.raises(OverflowError, match=r"\(9223372036854775808,\)"):
-            sink_census(C((2**63,)), model, ExplorationLimits(max_vertices=3))
+            sink_census(C((2**63,)), model, 3)
 
     def test_depth_cap(self):
         # the census takes a level whole or not at all, so a vertex cap
@@ -941,14 +937,14 @@ class TestSinkCensus:
         full = sink_census(C((8,)), Model.SSPM)
         assert not full.truncated and full.depth > 3
         for cap in (12, 19):
-            census = sink_census(C((8,)), Model.SSPM, ExplorationLimits(max_vertices=cap))
+            census = sink_census(C((8,)), Model.SSPM, cap)
             assert census.truncated and census.depth == 3 and census.vertex_count == 12, cap
 
 
 def assert_spm_sink_is_unique_and_deepest(cols):
     # naive_build gives every shape its depth, so the one sink must have
     # the largest
-    _, _, depths, sink_ids, truncated = naive_build(cols, "spm", ExplorationLimits())
+    _, _, depths, sink_ids, truncated = naive_build(cols, "spm", MAX_VERTICES)
     assert not truncated and len(sink_ids) == 1, (cols, sink_ids)
     assert depths[sink_ids[0]] == max(depths), (cols, depths)
 
@@ -989,23 +985,28 @@ def test_build_and_census_match_naive_bfs_on_multi_column_roots(cols, model):
     assert {s.columns for s in census.sinks} == dead
 
 
-# 1-4 columns, at most 14 grains, under no limit or a vertex cap
+# 1-4 columns, at most 14 grains, under the default cap (None: a call
+# without one) or a cap of 1-300
 capped_builds = (
     st.lists(st.integers(1, 14), min_size=1, max_size=4).map(tuple).filter(lambda t: sum(t) <= 14),
     st.sampled_from([Model.SPM, Model.SSPM]),
-    st.one_of(st.none(), st.builds(ExplorationLimits, max_vertices=st.integers(1, 300))),
+    st.one_of(st.none(), st.integers(1, 300)),
 )
+
+
+def capped_build(cols, model, max_vertices):
+    return build(C(cols), model, *([] if max_vertices is None else [max_vertices]))
 
 
 @settings(deadline=None)
 @given(*capped_builds)
 # the root is cut off from its one child but still has a move, so it is
 # no sink
-@example((2,), Model.SPM, ExplorationLimits(max_vertices=1))
-def test_build_matches_naive_build_under_limits(cols, model, limits):
-    g = build(C(cols), model, limits)
+@example((2,), Model.SPM, 1)
+def test_build_matches_naive_build_under_limits(cols, model, max_vertices):
+    g = capped_build(cols, model, max_vertices)
     verts, edges, depths, sink_ids, truncated = naive_build(
-        cols, model.value, limits or ExplorationLimits()
+        cols, model.value, max_vertices or MAX_VERTICES
     )
     assert tuple(v.columns for v in g.vertices) == verts
     assert g.edges == edges
@@ -1016,11 +1017,11 @@ def test_build_matches_naive_build_under_limits(cols, model, limits):
 
 @settings(deadline=None)
 @given(*capped_builds)
-def test_build_interns_only_shapes_the_constructor_accepts(cols, model, limits):
+def test_build_interns_only_shapes_the_constructor_accepts(cols, model, max_vertices):
     # build wraps its vertices with Configuration._trusted, skipping the
     # checks; each must be a tuple of plain ints that the checked
     # constructor takes unchanged
-    for v in build(C(cols), model, limits).vertices:
+    for v in capped_build(cols, model, max_vertices).vertices:
         assert type(v.columns) is tuple
         assert all(type(h) is int for h in v.columns)
         assert v == C(v.columns)

@@ -139,7 +139,7 @@ MUTANTS = (
         "    flip[s, word] ^= bit\n    t = np.arange(64, n, 64)\n    flip[t, t // 64] = 0\n",
         (
             CENSUS_TESTS + "test_sspm_key_tables_match_the_definition",
-            CENSUS_TESTS + "test_sspm_key_crosses_word_boundaries[limits0]",
+            CENSUS_TESTS + "test_sspm_key_crosses_word_boundaries[2000]",
         ),
     ),
     Mutant(
@@ -168,14 +168,14 @@ MUTANTS = (
         CENSUS,
         "    signed = np.dtype(_int_type(max(cols), cols))\n",
         "    signed = np.dtype(np.int8)\n",
-        (CENSUS_TESTS + "test_spm_array_lane_takes_every_root[limits0]",),
+        (CENSUS_TESTS + "test_spm_array_lane_takes_every_root[2000]",),
     ),
     Mutant(
         "census-vertex-cap-at-equality",
         "the census loop refuses a level that would bring the count exactly to max_vertices",
         CENSUS,
-        "vertex_count + size > limits.max_vertices:",
-        "vertex_count + size >= limits.max_vertices:",
+        "vertex_count + size > max_vertices:",
+        "vertex_count + size >= max_vertices:",
         (CENSUS_TESTS + "test_matches_naive_census_under_limits[spm-1000]",),
     ),
     Mutant(
@@ -319,6 +319,14 @@ MUTANTS = (
             "tests/test_orbit.py::TestVerify::"
             "test_top_width_witness_is_searched_past_the_first_failed_member",
         ),
+    ),
+    Mutant(
+        "verify-last-missing-sink",
+        "verify's sink census names the last missing sink, not the first",
+        ORBIT,
+        'next((f"({v}) missing" for v in want if v not in got), None)',
+        'next((f"({v}) missing" for v in want[::-1] if v not in got), None)',
+        ("tests/test_orbit.py::TestVerify::test_sink_census_names_the_first_missing_sink",),
     ),
     Mutant(
         "convergence-shortest-against-itself",
