@@ -293,6 +293,11 @@ def _judged(name: str, failure: str | None) -> CheckResult:
     return CheckResult(name, "fail", failure) if failure else CheckResult(name, "pass")
 
 
+def _named(g: OrbitGraph, i: int) -> str:
+    # A failing check's witness by its id, shape and depth.
+    return f"vertex {i} ({g.vertices[i]}) at depth {g.depths[i]}"
+
+
 def verify(g: OrbitGraph) -> VerificationReport:
     """Run the structural checks a correctly built orbit graph must pass.
 
@@ -302,11 +307,14 @@ def verify(g: OrbitGraph) -> VerificationReport:
     they are reported as skipped on truncated graphs or other roots.
     Under SPM a last check, convergence, asks a complete acyclic graph
     grown from any root for one sink and for transients of one length.
+    The energy and shape checks name their first failing vertex by id,
+    shape and depth, and convergence lists the sink ids when it finds
+    more than one.
     """
     rise = None
     if g._rising_edge is not None:
         u, v = g._rising_edge
-        rise = f"edge ({g.vertices[u]}) -> ({g.vertices[v]}) does not drop"
+        rise = f"edge from {_named(g, u)} to {_named(g, v)} does not drop"
     checks = [
         _judged("energy-decrease", rise),
         _judged("acyclic", "cycle detected" if g.topo_order is None else None),
@@ -339,8 +347,9 @@ def _theory_checks(g: OrbitGraph) -> list[CheckResult]:
     member = spm_member if g.model is Model.SPM else sspm_member
     bound = 4 if g.model is Model.SSPM else 2
     failed = [v for v in g.vertices if not member(v)]
-    splitless = (f"({v}) has no monotone split" for v in failed if not lr_splits(v))
-    wide = (f"({v}) has top wider than {bound}" for v in failed if top(v).size > bound)
+    at = g.vertices.index  # a witness's id, looked up once its check has failed
+    splitless = (f"{_named(g, at(v))} has no monotone split" for v in failed if not lr_splits(v))
+    wide = (f"{_named(g, at(v))} has top wider than {bound}" for v in failed if top(v).size > bound)
     n = g.root.grains
     got = sorted(sinks(g))
     want = [spm_fixed_point(n)] if g.model is Model.SPM else list(enumerate_fixed_points(n))
@@ -349,7 +358,9 @@ def _theory_checks(g: OrbitGraph) -> list[CheckResult]:
     witnesses = ", ".join(filter(None, (missing, unexpected)))
     return [
         _judged("lr-decomposable", next(splitless, None)),
-        _judged("membership", f"({failed[0]}) fails the predicate" if failed else None),
+        _judged(
+            "membership", f"{_named(g, at(failed[0]))} fails the predicate" if failed else None
+        ),
         _judged("top-width", next(wide, None)),
         _judged(
             "sink-census",
@@ -368,7 +379,8 @@ def _convergence(g: OrbitGraph) -> CheckResult:
     if g.topo_order is None:
         return CheckResult("convergence", "skipped", "cycle detected")
     if len(g.sink_ids) != 1:
-        return _judged("convergence", f"found {len(g.sink_ids)} sinks, expected 1")
+        ids = f": vertices {', '.join(map(str, g.sink_ids))}" if g.sink_ids else ""
+        return _judged("convergence", f"found {len(g.sink_ids)} sinks, expected 1{ids}")
     shortest, longest = transient_stats(g)
     unequal = f"transients of {shortest} and {longest} moves" if shortest != longest else None
     return _judged("convergence", unequal)

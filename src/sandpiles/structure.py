@@ -93,18 +93,6 @@ def top(c: Configuration) -> TopSet:
     return TopSet(lo, hi, contiguous)
 
 
-def _window(cols: tuple[int, ...], lo: int, hi: int | None) -> tuple[int, int]:
-    # Columns lo..hi (1-based, inclusive; hi None for the last column) as
-    # the half-open 0-based range [lo - 1, hi).  An empty window, hi =
-    # lo - 1, is legal anywhere from before the first column to past the
-    # last.
-    if hi is None:
-        hi = len(cols)
-    if not 1 <= lo <= hi + 1 <= len(cols) + 1:
-        raise IndexError(f"window {lo}..{hi} out of range for width {len(cols)}")
-    return lo - 1, hi
-
-
 def _prefix(cols: tuple[int, ...], crazed: bool, climb: bool) -> int:
     # The length of the longest prefix of cols that is crazed if crazed is
     # set and non-decreasing if climb is, in one pass over adjacent pairs.
@@ -124,26 +112,22 @@ def _prefix(cols: tuple[int, ...], crazed: bool, climb: bool) -> int:
     return len(cols)
 
 
-def is_crazed(c: Configuration, lo: int = 1, hi: int | None = None) -> bool:
-    """Check the plateau discipline on columns lo..hi (1-based, inclusive).
+def is_crazed(c: Configuration) -> bool:
+    """Check the plateau discipline on every column of c.
 
-    A window is crazed when no height repeats three times in a row and any
+    A shape is crazed when no height repeats three times in a row and any
     two plateaus (adjacent equal pairs) have a cliff, a height jump of at
-    least 2, strictly between them.  An empty window is vacuously crazed.
+    least 2, strictly between them.  Check a zone as its own Configuration.
     """
-    a, b = _window(c.columns, lo, hi)
-    return _prefix(c.columns[a:b], True, False) == b - a
+    return _prefix(c.columns, True, False) == len(c.columns)
 
 
-def plateau_spans(
-    c: Configuration, lo: int = 1, hi: int | None = None
-) -> tuple[tuple[int, int], ...]:
-    """Maximal equal-height runs of length >= 2 inside a window, as
-    (first, last) index pairs, 1-based."""
+def plateau_spans(c: Configuration) -> tuple[tuple[int, int], ...]:
+    """Maximal equal-height runs of length >= 2, as (first, last) index
+    pairs, 1-based."""
     cols = c.columns
-    a, b = _window(cols, lo, hi)
     spans: list[tuple[int, int]] = []
-    for i in range(a + 1, b):
+    for i in range(1, len(cols)):
         if cols[i] == cols[i - 1]:
             # equal columns i and i + 1, 1-based: extend a run ending at i
             first = spans.pop()[0] if spans and spans[-1][1] == i else i
@@ -151,13 +135,10 @@ def plateau_spans(
     return tuple(spans)
 
 
-def cliffs(c: Configuration, lo: int = 1, hi: int | None = None) -> tuple[int, ...]:
-    """Positions i with |c_i - c_{i+1}| >= 2, both columns in the window."""
+def cliffs(c: Configuration) -> tuple[int, ...]:
+    """Positions i with |c_i - c_{i+1}| >= 2, 1-based."""
     cols = c.columns
-    a, b = _window(cols, lo, hi)
-    return tuple(
-        i for i in range(a + 1, b) if abs(cols[i] - cols[i - 1]) >= 2
-    )
+    return tuple(i for i in range(1, len(cols)) if abs(cols[i] - cols[i - 1]) >= 2)
 
 
 def _cuts(cols: tuple[int, ...], crazed: bool) -> range:

@@ -214,11 +214,13 @@ def test_08_reachable_shapes_are_structurally_tame(sspm_graphs_20):
             for split in lr_splits(c):
                 left_hi = min(split.t, t.lo - 1)
                 right_lo = max(split.t + 1, t.hi + 1)
-                for lo, hi in ((1, left_hi), (right_lo, c.width)):
-                    spans = plateau_spans(c, lo, hi)
-                    if any(b - a + 1 > 2 for a, b in spans):
+                # each off-top zone is checked as a shape of its own
+                for zone in (c.columns[:left_hi], c.columns[right_lo - 1 :]):
+                    if not zone:
+                        continue
+                    if any(b - a + 1 > 2 for a, b in plateau_spans(C(zone))):
                         violations += 1
-                    if not is_crazed(c, lo, hi):
+                    if not is_crazed(C(zone)):
                         violations += 1
     ok = violations == 0
     report(

@@ -353,7 +353,11 @@ class TestVerify:
         assert_topological(g)
         rep = verify(g)
         assert rep.checks[:2] == (
-            CheckResult("energy-decrease", "fail", "edge (2,1,1) -> (2,2) does not drop"),
+            CheckResult(
+                "energy-decrease",
+                "fail",
+                "edge from vertex 1 (2,1,1) at depth 1 to vertex 3 (2,2) at depth 2 does not drop",
+            ),
             CheckResult("acyclic", "pass"),
         )
         assert transient_stats(g) == (2, 2)
@@ -377,8 +381,8 @@ class TestVerify:
         assert verify(g).checks == (
             CheckResult("energy-decrease", "pass"),
             CheckResult("acyclic", "pass"),
-            CheckResult("lr-decomposable", "fail", "(3,1,3) has no monotone split"),
-            CheckResult("membership", "fail", "(3,1,3) fails the predicate"),
+            CheckResult("lr-decomposable", "fail", "vertex 1 (3,1,3) at depth 0 has no monotone split"),
+            CheckResult("membership", "fail", "vertex 1 (3,1,3) at depth 0 fails the predicate"),
             CheckResult("top-width", "pass"),
             CheckResult("sink-census", "fail", "found 1 sinks, expected 2: (1,1,2,1) missing"),
         )
@@ -388,9 +392,9 @@ class TestVerify:
         # vertex without a split is the later (2,1,2)
         g = self.fabricated(Model.SSPM, [(5,), (1, 1, 1, 1, 1), (2, 1, 2), (1, 2, 1, 1)], (3,))
         assert verify(g).checks[2:] == (
-            CheckResult("lr-decomposable", "fail", "(2,1,2) has no monotone split"),
-            CheckResult("membership", "fail", "(1,1,1,1,1) fails the predicate"),
-            CheckResult("top-width", "fail", "(1,1,1,1,1) has top wider than 4"),
+            CheckResult("lr-decomposable", "fail", "vertex 2 (2,1,2) at depth 0 has no monotone split"),
+            CheckResult("membership", "fail", "vertex 1 (1,1,1,1,1) at depth 0 fails the predicate"),
+            CheckResult("top-width", "fail", "vertex 1 (1,1,1,1,1) at depth 0 has top wider than 4"),
             CheckResult("sink-census", "fail", "found 1 sinks, expected 2: (1,1,2,1) missing"),
         )
 
@@ -399,9 +403,9 @@ class TestVerify:
         # the first vertex with a top wider than 4 is the later (1,1,1,1,1)
         g = self.fabricated(Model.SSPM, [(5,), (2, 1, 2), (1, 1, 1, 1, 1)], ())
         assert verify(g).checks[2:5] == (
-            CheckResult("lr-decomposable", "fail", "(2,1,2) has no monotone split"),
-            CheckResult("membership", "fail", "(2,1,2) fails the predicate"),
-            CheckResult("top-width", "fail", "(1,1,1,1,1) has top wider than 4"),
+            CheckResult("lr-decomposable", "fail", "vertex 1 (2,1,2) at depth 0 has no monotone split"),
+            CheckResult("membership", "fail", "vertex 1 (2,1,2) at depth 0 fails the predicate"),
+            CheckResult("top-width", "fail", "vertex 2 (1,1,1,1,1) at depth 0 has top wider than 4"),
         )
 
     def test_sink_census_names_the_first_missing_sink(self):
@@ -419,8 +423,8 @@ class TestVerify:
         )
         assert verify(g).checks[2:] == (
             CheckResult("lr-decomposable", "pass"),
-            CheckResult("membership", "fail", "(1,1,1,1,1,1) fails the predicate"),
-            CheckResult("top-width", "fail", "(1,1,1,1,1,1) has top wider than 4"),
+            CheckResult("membership", "fail", "vertex 1 (1,1,1,1,1,1) at depth 0 fails the predicate"),
+            CheckResult("top-width", "fail", "vertex 1 (1,1,1,1,1,1) at depth 0 has top wider than 4"),
             CheckResult("sink-census", "pass"),
         )
 
@@ -431,8 +435,8 @@ class TestVerify:
         g = self.fabricated(Model.SPM, [(3,), (1, 2), (1, 1, 1)], (2,))
         assert verify(g).checks[2:] == (
             CheckResult("lr-decomposable", "pass"),
-            CheckResult("membership", "fail", "(1,2) fails the predicate"),
-            CheckResult("top-width", "fail", "(1,1,1) has top wider than 2"),
+            CheckResult("membership", "fail", "vertex 1 (1,2) at depth 0 fails the predicate"),
+            CheckResult("top-width", "fail", "vertex 2 (1,1,1) at depth 0 has top wider than 2"),
             CheckResult(
                 "sink-census", "fail", "found 1 sinks, expected 1: (2,1) missing, (1,1,1) unexpected"
             ),
@@ -466,7 +470,7 @@ class TestVerify:
             CheckResult("convergence", "fail", "transients of 1 and 3 moves"),
         )
         two = self.fabricated(Model.SPM, [(3,), (2, 1)], (0, 1))
-        want = CheckResult("convergence", "fail", "found 2 sinks, expected 1")
+        want = CheckResult("convergence", "fail", "found 2 sinks, expected 1: vertices 0, 1")
         assert verify(two).checks[-1] == want
 
     def test_truncated_graph_skips_reachability_checks(self):

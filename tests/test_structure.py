@@ -1,4 +1,4 @@
-"""Tops, crazed windows, LR splits, membership and fixed-point counting."""
+"""Tops, crazed shapes, LR splits, membership and fixed-point counting."""
 
 from __future__ import annotations
 
@@ -52,15 +52,6 @@ def fixed_point_digest(shapes: dict[int, tuple[Configuration, ...]], n_max: int)
     return hashlib.sha256(text.encode()).hexdigest()
 
 shapes = st.lists(st.integers(1, 12), min_size=1, max_size=10).map(tuple).map(C)
-
-
-@st.composite
-def windowed_shapes(draw):
-    """A shape with a window lo..hi of it, possibly empty."""
-    c = draw(shapes)
-    lo = draw(st.integers(1, c.width + 1))
-    hi = draw(st.integers(lo - 1, c.width))
-    return c, lo, hi
 
 
 class TestTop:
@@ -126,20 +117,9 @@ class TestCrazed:
     def test_cliff_separates(self):
         assert is_crazed(C((3, 3, 1, 1)))
 
-    def test_window_bounds(self):
-        c = C((1, 1, 1))
-        assert is_crazed(c, 1, 2)
-        assert not is_crazed(c, 1, 3)
-        assert is_crazed(c, 2, 1)  # empty window
-        with pytest.raises(IndexError):
-            is_crazed(c, 1, 4)
-
-    @given(shapes, st.data())
-    def test_against_pair_position_oracle(self, c, data):
-        k = c.width
-        lo = data.draw(st.integers(1, k))
-        hi = data.draw(st.integers(lo - 1, k))
-        assert is_crazed(c, lo, hi) == naive_crazed(c.columns[lo - 1 : hi])
+    @given(shapes)
+    def test_against_pair_position_oracle(self, c):
+        assert is_crazed(c) == naive_crazed(c.columns)
 
 
 class TestPlateausAndCliffs:
@@ -147,43 +127,23 @@ class TestPlateausAndCliffs:
         assert plateau_spans(C((3, 3, 2, 1, 1))) == ((1, 2), (4, 5))
         assert plateau_spans(C((1, 1, 1, 2))) == ((1, 3),)
         assert plateau_spans(C((3, 2, 1))) == ()
-        assert plateau_spans(C((3, 3, 2, 1, 1)), 2, 4) == ()
 
     def test_cliffs(self):
         assert cliffs(C((3, 1, 2))) == (1,)
         assert cliffs(C((1, 2, 1))) == ()
-        assert cliffs(C((4, 1, 4)), 2, 3) == (2,)
 
-    @given(windowed_shapes())
+    @given(shapes)
     # three equal neighbours make one span, not two overlapping pairs
-    @example((C((1, 3, 3, 3, 2)), 2, 4))
-    def test_plateau_spans_against_runs(self, window):
-        c, lo, hi = window
-        # maximal runs of equal heights inside the window, from groupby
-        want, first = [], lo
-        for _, run in groupby(c.columns[lo - 1 : hi]):
+    @example(C((1, 3, 3, 3, 2)))
+    def test_plateau_spans_against_runs(self, c):
+        # maximal runs of equal heights, from groupby
+        want, first = [], 1
+        for _, run in groupby(c.columns):
             length = len(list(run))
             if length >= 2:
                 want.append((first, first + length - 1))
             first += length
-        assert plateau_spans(c, lo, hi) == tuple(want)
-
-    @pytest.mark.parametrize("fn", [is_crazed, plateau_spans, cliffs])
-    @pytest.mark.parametrize(
-        "lo, hi", [(0, 3), (0, None), (1, -1), (3, 1), (1, 4), (5, None), (5, 4)]
-    )
-    def test_bad_window_is_refused(self, fn, lo, hi):
-        # a window may start from column 1 to one past the last, and end
-        # at most at the last; lo = 0 would read the last column as cols[-1]
-        shown = 3 if hi is None else hi
-        with pytest.raises(IndexError, match=rf"window {lo}\.\.{shown} out of range for width 3"):
-            fn(C((5, 1, 3)), lo, hi)
-
-    @pytest.mark.parametrize("fn", [is_crazed, plateau_spans, cliffs])
-    def test_empty_window_at_either_end(self, fn):
-        empty = True if fn is is_crazed else ()
-        for lo, hi in ((1, 0), (4, 3), (4, None)):
-            assert fn(C((5, 1, 3)), lo, hi) == empty
+        assert plateau_spans(c) == tuple(want)
 
 
 class TestHasCrazedLR:
@@ -202,7 +162,8 @@ class TestHasCrazedLR:
             return
         assert all(a <= b for a, b in zip(s.left, s.left[1:]))
         assert all(a >= b for a, b in zip(s.right, s.right[1:]))
-        assert is_crazed(c, 1, s.t) and is_crazed(c, s.t + 1, c.width)
+        # each non-empty zone is checked as a shape of its own
+        assert all(is_crazed(C(zone)) for zone in (s.left, s.right) if zone)
 
     @staticmethod
     def monotone_cuts(cols):
