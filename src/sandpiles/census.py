@@ -105,7 +105,7 @@ from itertools import accumulate, count
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .core import Configuration, Model
-from .orbit import MAX_VERTICES, _check_cap
+from .orbit import MAX_VERTICES, _check_args
 
 if TYPE_CHECKING:
     import numpy as np
@@ -325,7 +325,8 @@ def sink_census(root: Configuration, model: Model, max_vertices: int = MAX_VERTI
     SSPM a cap of 5 stops the census at 3 vertices and depth 1, where
     build, which keeps the first new shapes of a cut level in
     lexicographic order, stops at 5 vertices and depth 2.  The cap must
-    be a positive plain int; floats, strings and bools raise TypeError.
+    be a positive plain int; floats, strings and bools raise TypeError,
+    and so does a root that is not a Configuration.
 
     A root whose rows need more than 64 bits raises OverflowError, naming
     it, and an SPM row on the last level that can still fire raises
@@ -334,7 +335,7 @@ def sink_census(root: Configuration, model: Model, max_vertices: int = MAX_VERTI
     pins down on small cases, and with a plain visited-set search in the
     tests.
     """
-    _check_cap(max_vertices)
+    _check_args(root, max_vertices)
     model = Model(model)
     lane = _spm_levels if model is Model.SPM else _sspm_levels
     vertex_count, depth, truncated = 1, 0, False

@@ -55,10 +55,10 @@ def evolve(c0: Configuration, model: Model, seed: int) -> list[Configuration]:
     cur = c0.columns
     trajectory = [c0]
     while True:
-        options = _fire(cur, model)
-        if not options:
+        _, kids = _fire(cur, model)
+        if not kids:
             return trajectory
-        cur = options[rng.randrange(len(options))][2]
+        cur = kids[rng.randrange(len(kids))]
         trajectory.append(Configuration(cur))
 
 

@@ -151,40 +151,43 @@ def slope(c: Configuration, i: int, direction: Direction) -> int:
     return c.columns[i - 1] - c.height(neighbour)
 
 
-# build runs the kernel once per vertex; reading these aliases instead of
-# Enum attributes took the SSPM builds of (1)..(18) and six 18-grain roots
+# build runs the kernel once per vertex, which reads the model through this
+# alias: aliases in place of Enum attributes, when the kernel also read the
+# two directions, took the SSPM builds of (1)..(18) and six 18-grain roots
 # from 0.073-0.086 s to 0.069-0.078 s (best of 15, three interleaved runs,
 # 2 vCPU).
-_LEFT, _RIGHT, _SSPM = Direction.LEFT, Direction.RIGHT, Model.SSPM
+_SSPM = Model.SSPM
 
 
-def _fire(
-    cols: tuple[int, ...], model: Model
-) -> list[tuple[int, Direction, tuple[int, ...]]]:
-    # The rule kernel, and the only place the slope threshold is read: one
-    # (1-based index, direction, child) per enabled move, in ascending
-    # index with LEFT before RIGHT at the same index.  Every child is
-    # already trimmed because a fired column keeps height >= 1.  A missing
-    # neighbour has height 0, so a grain dropped past an edge lands as a
-    # new column of height 1.
+def _fire(cols: tuple[int, ...], model: Model) -> tuple[list[int], list[tuple[int, ...]]]:
+    # The rule kernel, and the only place the slope threshold is read: the
+    # enabled moves as signed 1-based column indices, -j leftward and +j
+    # rightward, and their children, in two parallel lists in ascending
+    # index with the leftward move first at the same index.  Every child
+    # is already trimmed because a fired column keeps height >= 1.  A
+    # missing neighbour has height 0, so a grain dropped past an edge lands
+    # as a new column of height 1.
     sspm = model is _SSPM
     k = len(cols)
-    out: list[tuple[int, Direction, tuple[int, ...]]] = []
+    moves: list[int] = []
+    kids: list[tuple[int, ...]] = []
     left = 0
     for j, h in enumerate(cols, 1):
         right = cols[j] if j < k else 0
         if sspm and h - left >= 2:
-            head = cols[: j - 2] if j > 1 else ()
-            out.append((j, _LEFT, head + (left + 1, h - 1) + cols[j:]))
+            moves.append(-j)
+            kids.append((cols[: j - 2] if j > 1 else ()) + (left + 1, h - 1) + cols[j:])
         if h - right >= 2:
-            out.append((j, _RIGHT, cols[: j - 1] + (h - 1, right + 1) + cols[j + 1 :]))
+            moves.append(j)
+            kids.append(cols[: j - 1] + (h - 1, right + 1) + cols[j + 1 :])
         left = h
-    return out
+    return moves, kids
 
 
 def enabled_moves(c: Configuration, model: Model) -> frozenset[Move]:
     """All moves whose slope condition holds at c under the model."""
-    return frozenset(Move(d, i) for i, d, _ in _fire(c.columns, Model(model)))
+    moves, _ = _fire(c.columns, Model(model))
+    return frozenset(Move(Direction.RIGHT, j) if j > 0 else Move(Direction.LEFT, -j) for j in moves)
 
 
 def apply_move(c: Configuration, move: Move) -> Configuration:
@@ -197,9 +200,10 @@ def apply_move(c: Configuration, move: Move) -> Configuration:
     """
     if not 1 <= move.index <= c.width:
         raise IndexError(f"column {move.index} out of range 1..{c.width}")
-    for i, d, child in _fire(c.columns, Model.SSPM):
-        if (i, d) == (move.index, move.direction):
-            return Configuration(child)
+    moves, kids = _fire(c.columns, Model.SSPM)
+    signed = move.index if move.direction is Direction.RIGHT else -move.index
+    if signed in moves:
+        return Configuration(kids[moves.index(signed)])
     raise MoveError(f"{move} is not enabled on {c}")
 
 
@@ -221,7 +225,7 @@ def frontier_step(
     A set of fixed points (or an empty set) maps to the empty set.
     """
     model = Model(model)
-    out = {child for c in configs for _, _, child in _fire(c.columns, model)}
+    out = {child for c in configs for child in _fire(c.columns, model)[1]}
     return frozenset(Configuration(t) for t in out)
 
 
@@ -239,4 +243,4 @@ def energy(c: Configuration) -> int:
 
 def is_fixed_point(c: Configuration, model: Model) -> bool:
     """True when no move is enabled on c under the model."""
-    return not _fire(c.columns, Model(model))
+    return not _fire(c.columns, Model(model))[0]

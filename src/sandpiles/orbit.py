@@ -8,6 +8,7 @@ the same state space without storing edges, lives in ``census.py``.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -29,7 +30,11 @@ from .structure import (
 MAX_VERTICES = 5_000_000
 
 
-def _check_cap(max_vertices: int) -> None:
+def _check_args(root: Configuration, max_vertices: int) -> None:
+    # What build and sink_census take: a Configuration and a positive
+    # plain int cap.
+    if not isinstance(root, Configuration):
+        raise TypeError(f"root must be a Configuration, got {root!r}")
     if type(max_vertices) is not int:
         raise TypeError(f"max_vertices must be int, got {max_vertices!r}")
     if max_vertices < 1:
@@ -79,7 +84,10 @@ class OrbitGraph:
     def labels(self) -> tuple[str, ...]:
         """Each vertex's comma-joined heights, in id order, as both
         exports print them."""
-        return tuple(map(str, self.vertices))
+        # one compact encode of every height list, the strings str() gives,
+        # cut apart at the brackets between them
+        text = json.dumps([v.columns for v in self.vertices], separators=(",", ":"))
+        return tuple(text[2:-2].split("],["))
 
     @cached_property
     def _rising_edge(self) -> tuple[int, int] | None:
@@ -140,9 +148,9 @@ def build(root: Configuration, model: Model, max_vertices: int = MAX_VERTICES) -
     stops the graph at 5 vertices and depth 2 (sink_census, which takes
     a level whole or not at all, stops at 3 vertices and depth 1).  It
     must be a positive plain int; floats, strings and bools raise
-    TypeError.
+    TypeError, and so does a root that is not a Configuration.
     """
-    _check_cap(max_vertices)
+    _check_args(root, max_vertices)
     model = Model(model)
     # a shape's id is its place in intern, whose keys are the vertices, and
     # in outs, since the shapes are expanded once each, in id order
@@ -154,23 +162,24 @@ def build(root: Configuration, model: Model, max_vertices: int = MAX_VERTICES) -
     truncated = False
     depth = 0
     while frontier:
-        level = [{child for _, _, child in _fire(t, model)} for t in frontier]
-        fresh = sorted(set().union(*level) - intern.keys())
+        level = [_fire(t, model)[1] for t in frontier]
+        fresh = sorted(set(chain.from_iterable(level)).difference(intern))
         room = max_vertices - len(intern)
         if len(fresh) > room:
             truncated = True
             fresh = fresh[:room]
-        for t in fresh:
-            intern[t] = len(intern)
-            depths.append(depth + 1)
+        intern.update(zip(fresh, range(len(intern), len(intern) + len(fresh))))
+        depth += 1
+        depths += [depth] * len(fresh)
+        # each child is looked up once; a shape the cap cut off reads None
         for kids in level:
             if not kids:
                 sink_ids.append(len(outs))
+            ids = set(map(intern.get, kids))
             if truncated:
-                kids &= intern.keys()
-            outs.append(tuple(sorted(map(intern.get, kids))))
+                ids.discard(None)
+            outs.append(tuple(sorted(ids)))
         frontier = fresh
-        depth += 1
     return OrbitGraph(
         model=model,
         # the root's columns passed the checks, and _fire's children are

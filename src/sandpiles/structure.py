@@ -186,16 +186,24 @@ def sspm_member(c: Configuration) -> bool:
     return len(cols) - _prefix(cols[::-1], True, True) <= _prefix(cols, True, True)
 
 
+def _check_n(n: int) -> None:
+    # What every function of n grains takes: a positive plain int.
+    if type(n) is not int:
+        raise TypeError(f"n must be int, got {n!r}")
+    if n < 1:
+        raise ValueError("need at least one grain")
+
+
 def spm_fixed_point(n: int) -> Configuration:
     """The unique stable shape of the rightward rule on n grains.
 
     Write n = p(p+1)/2 + q with 0 <= q <= p (the decomposition is unique).
     The shape is the staircase p, p-1, ..., 1 with the step of height q
     doubled (none when q = 0), the same staircase that every
-    symmetric-rule fixed point is built from, falling only.
+    symmetric-rule fixed point is built from, falling only.  n must be a
+    positive plain int; floats, strings and bools raise TypeError.
     """
-    if n < 1:
-        raise ValueError("need at least one grain")
+    _check_n(n)
     p = (isqrt(8 * n + 1) - 1) // 2
     return Configuration(_stairs(p, n - p * (p + 1) // 2))
 
@@ -210,10 +218,10 @@ def fixed_point_counts(n: int, include_shapes: bool = False) -> FixedPointCensus
     there), then tapers as 2q-v+1.  The two always sum to isqrt(n).
 
     Both bracketing integers come from exact integer square roots; float
-    sqrt misclassifies near perfect squares once n gets large.
+    sqrt misclassifies near perfect squares once n gets large.  n must be
+    a positive plain int; floats, strings and bools raise TypeError.
     """
-    if n < 1:
-        raise ValueError("need at least one grain")
+    _check_n(n)
     p, u, q, v = _pyramids(n)
     if u < p:
         g1 = u + 1
@@ -307,8 +315,8 @@ def enumerate_fixed_points(n: int) -> tuple[Configuration, ...]:
     height q, doubling step q on the right flank alone and on the left
     flank alone both widen the top to the same three columns.  The
     right-flank template is skipped, so no duplicate is built and no set
-    is needed.
+    is needed.  n must be a positive plain int; floats, strings and bools
+    raise TypeError.
     """
-    if n < 1:
-        raise ValueError("need at least one grain")
+    _check_n(n)
     return tuple(map(Configuration._trusted, _fixed_point_tuples(n)))

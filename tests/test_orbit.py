@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from itertools import accumulate
 
 import numpy as np
@@ -269,6 +270,13 @@ class TestTruncation:
     def test_bad_vertex_cap_is_refused(self, explore, cap, error, message):
         with pytest.raises(error, match=message):
             explore(C((4,)), Model.SPM, cap)
+
+    @pytest.mark.parametrize("root", [(3,), [3], "3", None], ids=["tuple", "list", "str", "none"])
+    @pytest.mark.parametrize("explore", [build, sink_census], ids=["build", "census"])
+    def test_root_must_be_a_configuration(self, explore, root):
+        message = re.escape(f"root must be a Configuration, got {root!r}")
+        with pytest.raises(TypeError, match=message):
+            explore(root, Model.SPM)
 
 
 class TestVerify:
@@ -1029,6 +1037,23 @@ def test_build_interns_only_shapes_the_constructor_accepts(cols, model, max_vert
         assert type(v.columns) is tuple
         assert all(type(h) is int for h in v.columns)
         assert v == C(v.columns)
+
+
+@settings(deadline=None)
+@given(*capped_builds)
+def test_labels_and_json_export_are_read_off_the_graph(cols, model, max_vertices):
+    # labels come from one encode of every height list, cut apart, and the
+    # JSON export is written out by hand; both must say what the fields say
+    g = capped_build(cols, model, max_vertices)
+    assert g.labels == tuple(map(str, g.vertices))
+    assert json.loads(export(g, "json")) == {
+        "model": g.model.name,
+        "root": list(g.root.columns),
+        "truncated": g.truncated,
+        "vertices": [list(v.columns) for v in g.vertices],
+        "edges": [list(e) for e in g.edges],
+        "sinks": list(g.sink_ids),
+    }
 
 
 def test_energy_decreases_along_every_edge():

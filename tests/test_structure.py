@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from itertools import groupby
 from math import isqrt
 
@@ -290,6 +291,19 @@ class TestCounting:
             fixed_point_counts(0)
         with pytest.raises(ValueError):
             enumerate_fixed_points(-3)
+
+    @pytest.mark.parametrize(
+        "n", [True, "3", 3.0, None], ids=["bool", "str", "float", "none"]
+    )
+    @pytest.mark.parametrize(
+        "fn",
+        [spm_fixed_point, fixed_point_counts, enumerate_fixed_points],
+        ids=["spm_fixed_point", "counts", "enumerate"],
+    )
+    def test_n_must_be_an_int(self, fn, n):
+        # True would count as one grain and "3" fail inside a comparison
+        with pytest.raises(TypeError, match=re.escape(f"n must be int, got {n!r}")):
+            fn(n)
 
     def test_shapes_ride_along_when_asked(self):
         fc = fixed_point_counts(12, include_shapes=True)

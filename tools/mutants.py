@@ -185,35 +185,47 @@ MUTANTS = (
         "the rule kernel lists a column's rightward move before its leftward one",
         CORE,
         "        if sspm and h - left >= 2:\n"
-        "            head = cols[: j - 2] if j > 1 else ()\n"
-        "            out.append((j, _LEFT, head + (left + 1, h - 1) + cols[j:]))\n"
+        "            moves.append(-j)\n"
+        "            kids.append((cols[: j - 2] if j > 1 else ()) + (left + 1, h - 1) + cols[j:])\n"
         "        if h - right >= 2:\n"
-        "            out.append((j, _RIGHT, cols[: j - 1] + (h - 1, right + 1) + cols[j + 1 :]))\n",
+        "            moves.append(j)\n"
+        "            kids.append(cols[: j - 1] + (h - 1, right + 1) + cols[j + 1 :])\n",
         "        if h - right >= 2:\n"
-        "            out.append((j, _RIGHT, cols[: j - 1] + (h - 1, right + 1) + cols[j + 1 :]))\n"
+        "            moves.append(j)\n"
+        "            kids.append(cols[: j - 1] + (h - 1, right + 1) + cols[j + 1 :])\n"
         "        if sspm and h - left >= 2:\n"
-        "            head = cols[: j - 2] if j > 1 else ()\n"
-        "            out.append((j, _LEFT, head + (left + 1, h - 1) + cols[j:]))\n",
+        "            moves.append(-j)\n"
+        "            kids.append((cols[: j - 2] if j > 1 else ()) + (left + 1, h - 1) + cols[j:])\n",
         ("tests/test_cli.py::TestEvolve::test_golden_sspm_trajectory",),
     ),
     Mutant(
         "fire-labels-swapped",
         "the rule kernel labels a leftward move RIGHT and a rightward one LEFT",
         CORE,
-        "            out.append((j, _LEFT, head + (left + 1, h - 1) + cols[j:]))\n"
+        "            moves.append(-j)\n"
+        "            kids.append((cols[: j - 2] if j > 1 else ()) + (left + 1, h - 1) + cols[j:])\n"
         "        if h - right >= 2:\n"
-        "            out.append((j, _RIGHT,",
-        "            out.append((j, _RIGHT, head + (left + 1, h - 1) + cols[j:]))\n"
+        "            moves.append(j)\n",
+        "            moves.append(j)\n"
+        "            kids.append((cols[: j - 2] if j > 1 else ()) + (left + 1, h - 1) + cols[j:])\n"
         "        if h - right >= 2:\n"
-        "            out.append((j, _LEFT,",
+        "            moves.append(-j)\n",
         ("tests/test_core.py::TestMoves::test_apply_move_examples",),
+    ),
+    Mutant(
+        "fire-left-recorded-right",
+        "the rule kernel records a leftward move at column j as +j, the rightward one",
+        CORE,
+        "            moves.append(-j)\n",
+        "            moves.append(j)\n",
+        ("tests/test_core.py::TestMoves::test_enabled_moves_examples",),
     ),
     Mutant(
         "build-drops-back-edges",
         "build keeps only the edges into vertices with a larger id",
         ORBIT,
-        "outs.append(tuple(sorted(map(intern.get, kids))))",
-        "outs.append(tuple(v for v in sorted(map(intern.get, kids)) if v > len(outs)))",
+        "outs.append(tuple(sorted(ids)))",
+        "outs.append(tuple(v for v in sorted(ids) if v > len(outs)))",
         ("tests/test_orbit.py::test_build_and_census_match_naive_bfs_on_multi_column_roots",),
     ),
     Mutant(
@@ -240,21 +252,41 @@ MUTANTS = (
         ORBIT,
         "            if not kids:\n"
         "                sink_ids.append(len(outs))\n"
+        "            ids = set(map(intern.get, kids))\n"
         "            if truncated:\n"
-        "                kids &= intern.keys()\n",
+        "                ids.discard(None)\n",
+        "            ids = set(map(intern.get, kids))\n"
         "            if truncated:\n"
-        "                kids &= intern.keys()\n"
-        "            if not kids:\n"
+        "                ids.discard(None)\n"
+        "            if not ids:\n"
         "                sink_ids.append(len(outs))\n",
+        ("tests/test_orbit.py::test_build_matches_naive_build_under_limits",),
+    ),
+    Mutant(
+        "build-keeps-cut-children",
+        "build keeps the None that a child cut off by the cap reads in intern, "
+        "so a truncated graph has edges into no vertex",
+        ORBIT,
+        "            if truncated:\n                ids.discard(None)\n",
+        "",
         ("tests/test_orbit.py::test_build_matches_naive_build_under_limits",),
     ),
     Mutant(
         "build-unsorted-out-lists",
         "build lists each vertex's children in set order, not by id",
         ORBIT,
-        "outs.append(tuple(sorted(map(intern.get, kids))))",
-        "outs.append(tuple(map(intern.get, kids)))",
+        "outs.append(tuple(sorted(ids)))",
+        "outs.append(tuple(ids))",
         ("tests/test_orbit.py::test_export_bytes_match_the_recorded_digests[sspm_columns-json]",),
+    ),
+    Mutant(
+        "labels-slice-drops-a-character",
+        "labels cut the encoded height lists one character short, so the last "
+        "vertex's label loses its last digit",
+        ORBIT,
+        'return tuple(text[2:-2].split("],["))',
+        'return tuple(text[2:-3].split("],["))',
+        ("tests/test_orbit.py::test_labels_and_json_export_are_read_off_the_graph",),
     ),
     Mutant(
         "lattice-no-glb-test",
