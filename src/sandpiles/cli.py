@@ -62,22 +62,13 @@ def evolve(c0: Configuration, model: Model, seed: int) -> list[Configuration]:
         trajectory.append(Configuration(cur))
 
 
-def render_ascii(c: Configuration) -> str:
-    """Draw the pile as a bottom-aligned grid, '#' grain, '.' empty."""
-    rows = []
-    for level in range(max(c.columns), 0, -1):
-        rows.append("".join("#" if h >= level else "." for h in c.columns))
-    return "\n".join(rows)
-
-
 def render_gallery(shapes: tuple[Configuration, ...]) -> str:
-    """All shapes side by side on a shared baseline."""
+    """All shapes side by side on a shared baseline, '#' grain, '.' empty."""
     height = max(max(s.columns) for s in shapes)
-    blocks = []
-    for s in shapes:
-        lines = render_ascii(s).split("\n")
-        blocks.append(["." * s.width] * (height - len(lines)) + lines)
-    return "\n".join("  ".join(parts) for parts in zip(*blocks))
+    return "\n".join(
+        "  ".join("".join("#" if h >= level else "." for h in s.columns) for s in shapes)
+        for level in range(height, 0, -1)
+    )
 
 
 def count_table(
@@ -144,7 +135,7 @@ def _shape(text: str) -> Configuration:
         raise argparse.ArgumentTypeError(
             "expected comma-separated heights, like 3,2,1"
         ) from None
-    if not cols or any(h < 1 for h in cols):
+    if any(h < 1 for h in cols):
         raise argparse.ArgumentTypeError("heights must be positive integers")
     return Configuration(cols)
 

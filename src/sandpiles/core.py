@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 
 class Model(Enum):
@@ -100,14 +99,6 @@ class Configuration:
     def grains(self) -> int:
         return sum(self.columns)
 
-    def height(self, i: int) -> int:
-        """Height of column i (1-based); 0 just outside the pile."""
-        if i == 0 or i == len(self.columns) + 1:
-            return 0
-        if not 1 <= i <= len(self.columns):
-            raise IndexError(f"column {i} out of range 1..{len(self.columns)}")
-        return self.columns[i - 1]
-
     def __str__(self) -> str:
         return ",".join(map(str, self.columns))
 
@@ -134,21 +125,6 @@ class Move:
 
     def __str__(self) -> str:
         return f"{self.direction.value}@{self.index}"
-
-
-def slope(c: Configuration, i: int, direction: Direction) -> int:
-    """Signed drop seen by the rule at column i in the given direction.
-
-    Rightward: c_i minus the height of the right neighbour (0 past the
-    edge).  Leftward: c_i minus the left neighbour.  The move at (i,
-    direction) is enabled exactly when this is at least 2.  The direction
-    may also be given by its value, "right" or "left"; anything else
-    raises ValueError.
-    """
-    if not 1 <= i <= c.width:
-        raise IndexError(f"column {i} out of range 1..{c.width}")
-    neighbour = i + 1 if Direction(direction) is Direction.RIGHT else i - 1
-    return c.columns[i - 1] - c.height(neighbour)
 
 
 # build runs the kernel once per vertex, which reads the model through this
@@ -214,19 +190,7 @@ def successors(c: Configuration, model: Model) -> frozenset[Configuration]:
     right rules both give (1,1)), so this can be smaller than the set of
     enabled moves.
     """
-    return frontier_step((c,), model)
-
-
-def frontier_step(
-    configs: Iterable[Configuration], model: Model
-) -> frozenset[Configuration]:
-    """One synchronous sweep: the union of successors over a whole set.
-
-    A set of fixed points (or an empty set) maps to the empty set.
-    """
-    model = Model(model)
-    out = {child for c in configs for child in _fire(c.columns, model)[1]}
-    return frozenset(Configuration(t) for t in out)
+    return frozenset(map(Configuration, set(_fire(c.columns, Model(model))[1])))
 
 
 def energy(c: Configuration) -> int:

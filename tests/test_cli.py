@@ -30,7 +30,6 @@ from sandpiles.cli import (
     count_table,
     evolve,
     main,
-    render_ascii,
     render_gallery,
 )
 from sandpiles.orbit import MAX_VERTICES
@@ -57,17 +56,17 @@ def run_cli(
 
 class TestRenderAscii:
     def test_single_grain(self):
-        assert render_ascii(C((1,))) == "#"
+        assert render_gallery((C((1,)),)) == "#"
 
     def test_small_hill(self):
-        assert render_ascii(C((1, 2, 1))) == ".#.\n###"
+        assert render_gallery((C((1, 2, 1)),)) == ".#.\n###"
 
     def test_staircase(self):
-        assert render_ascii(C((3, 2, 2, 1))) == "#...\n###.\n####"
+        assert render_gallery((C((3, 2, 2, 1)),)) == "#...\n###.\n####"
 
     def test_grain_character_count(self):
         for cols in [(1,), (5,), (2, 4, 1), (3, 3, 3), (1, 2, 3, 2, 1)]:
-            drawn = render_ascii(C(cols)).count("#")
+            drawn = render_gallery((C(cols),)).count("#")
             assert drawn == sum(cols)
 
     def test_gallery_layout(self):
@@ -384,6 +383,7 @@ class TestUsageErrors:
             ["graph", "--config", "1,0,1"],
             ["nonsense", "--n", "4"],
             ["count", "--n", "5", "--bfs-cutoff", "-1"],
+            ["evolve", "--config", ""],
         ],
     )
     def test_rejected_invocations(self, argv):

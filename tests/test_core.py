@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sandpiles
 from sandpiles import (
     Configuration,
     Direction,
@@ -21,10 +23,8 @@ from sandpiles import (
     enabled_moves,
     energy,
     enumerate_fixed_points,
-    frontier_step,
     is_fixed_point,
     sink_census,
-    slope,
     successors,
 )
 from sandpiles.cli import evolve
@@ -92,44 +92,13 @@ class TestConfiguration:
         with pytest.raises((TypeError, AttributeError)):
             trusted.extra = 1
 
-    def test_str_and_height(self):
-        c = C((3, 1))
-        assert str(c) == "3,1"
-        assert c.height(1) == 3 and c.height(2) == 1
-        assert c.height(0) == 0 and c.height(3) == 0
-        with pytest.raises(IndexError):
-            c.height(4)
+    def test_str(self):
+        assert str(C((3, 1))) == "3,1"
 
-
-class TestGrainsAndSlope:
     def test_grains(self):
         assert C((8,)).grains == 8
         assert C((3, 2, 2, 1)).grains == 8
         assert C((1, 1)).grains == 2
-
-    def test_slope_interior_and_boundary(self):
-        c = C((3, 1))
-        assert slope(c, 1, R) == 2
-        assert slope(c, 2, R) == 1  # right edge sees height 0
-        assert slope(c, 1, L) == 3  # left edge sees height 0
-
-    def test_slope_out_of_range(self):
-        with pytest.raises(IndexError):
-            slope(C((3, 1)), 3, R)
-        with pytest.raises(IndexError):
-            slope(C((3, 1)), 0, L)
-        with pytest.raises(IndexError):
-            apply_move(C((3, 1)), Move(R, 3))
-        with pytest.raises(IndexError):
-            apply_move(C((3, 1)), Move(L, 0))
-
-    def test_direction_given_by_value(self):
-        # a plain string used to read as LEFT whatever it said
-        c = C((3, 1))
-        assert slope(c, 1, "right") == slope(c, 1, R) == 2
-        assert slope(c, 1, "left") == slope(c, 1, L) == 3
-        with pytest.raises(ValueError, match="'bogus' is not a valid Direction"):
-            slope(c, 1, "bogus")
 
 
 class TestMoves:
@@ -162,6 +131,12 @@ class TestMoves:
         assert apply_move(C((8,)), Move(R, 1)) == C((7, 1))
         assert apply_move(C((2, 2)), Move(R, 2)) == C((2, 1, 1))
 
+    def test_apply_move_out_of_range(self):
+        with pytest.raises(IndexError):
+            apply_move(C((3, 1)), Move(R, 3))
+        with pytest.raises(IndexError):
+            apply_move(C((3, 1)), Move(L, 0))
+
     def test_disabled_move_is_an_error(self):
         with pytest.raises(MoveError):
             apply_move(C((1, 1)), Move(R, 1))
@@ -182,11 +157,6 @@ class TestSuccessors:
         assert successors(C((2,)), Model.SSPM) == {C((1, 1))}
         assert successors(C((8,)), Model.SSPM) == {C((7, 1)), C((1, 7))}
         assert successors(C((5,)), Model.SSPM) == {C((4, 1)), C((1, 4))}
-
-    def test_frontier_step_examples(self):
-        assert frontier_step([C((8,))], Model.SSPM) == {C((7, 1)), C((1, 7))}
-        assert frontier_step([], Model.SSPM) == frozenset()
-        assert frontier_step([C((2, 1, 1))], Model.SPM) == frozenset()
 
     def test_collision_of_distinct_moves(self):
         # two distinct enabled moves, one successor shape
@@ -276,14 +246,7 @@ def test_successors_agree_with_naive_rule_reading(c, model):
 @given(shapes, models)
 def test_purity(c, model):
     assert successors(c, model) == successors(c, model)
-    assert frontier_step([c], model) == frontier_step([c], model)
-    assert frontier_step([c], model) == successors(c, model)
-
-
-@given(st.sets(shapes, max_size=5), models)
-def test_frontier_step_is_union_of_successors(batch, model):
-    want = frozenset().union(*(successors(c, model) for c in batch)) if batch else frozenset()
-    assert frontier_step(batch, model) == want
+    assert enabled_moves(c, model) == enabled_moves(c, model)
 
 
 @given(st.integers(1, 400))
@@ -300,7 +263,6 @@ def test_enumerated_fixed_points_pass_the_constructor_checks(n):
 BY_MODEL = {
     "enabled_moves": lambda m: enabled_moves(C((5,)), m),
     "successors": lambda m: successors(C((5,)), m),
-    "frontier_step": lambda m: frontier_step([C((5,)), C((2, 1))], m),
     "is_fixed_point": lambda m: is_fixed_point(C((2, 1)), m),
     "build": lambda m: build(C((5,)), m),
     "sink_census": lambda m: sink_census(C((5,)), m),
@@ -319,3 +281,13 @@ def test_a_model_may_be_given_by_its_value(name):
         assert getattr(got, "model", model) is model
     with pytest.raises(ValueError, match="bogus"):
         call("bogus")
+
+
+def test_by_model_lists_every_public_entry_point_that_takes_a_model():
+    public = [getattr(sandpiles, name) for name in sandpiles.__all__] + [evolve]
+    takes_a_model = {
+        f.__name__
+        for f in public
+        if inspect.isfunction(f) and "model" in inspect.signature(f).parameters
+    }
+    assert takes_a_model == set(BY_MODEL)

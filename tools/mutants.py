@@ -221,6 +221,14 @@ MUTANTS = (
         ("tests/test_core.py::TestMoves::test_enabled_moves_examples",),
     ),
     Mutant(
+        "successors-first-child-only",
+        "successors keeps only the kernel's first child",
+        CORE,
+        "_fire(c.columns, Model(model))[1]",
+        "_fire(c.columns, Model(model))[1][:1]",
+        ("tests/test_core.py::TestSuccessors::test_examples",),
+    ),
+    Mutant(
         "build-drops-back-edges",
         "build keeps only the edges into vertices with a larger id",
         ORBIT,
@@ -529,6 +537,14 @@ MUTANTS = (
         "    if lo == 0 and not (wide and spare == h):\n",
         "    if lo == 0:\n",
         ("tests/test_structure.py::TestEnumeration::test_lexicographic_and_distinct",),
+    ),
+    Mutant(
+        "gallery-grain-above-level",
+        "the gallery draws a grain only above its level, so the top row of each shape is lost",
+        CLI,
+        '"#" if h >= level else "."',
+        '"#" if h > level else "."',
+        ("tests/test_cli.py::TestRenderAscii::test_single_grain",),
     ),
     Mutant(
         "out-in-missing-directory-raises",
