@@ -318,22 +318,18 @@ def sink_census(root: Configuration, model: Model, max_vertices: int = MAX_VERTI
     This loop alone owns the sweep's policy: the shape count, the depth,
     the vertex limit, the truncation flag and the sinks.  The lane of the
     model yields one pair per level: the heights of that level's sinks
-    and the size of the next level, 0 when there is none.  The next
-    level is taken whole or not at all: when it would bring the count
-    past max_vertices, the census is flagged truncated, and the lane,
-    never resumed, never builds that level's rows.  So on (12) under
-    SSPM a cap of 5 stops the census at 3 vertices and depth 1, where
-    build, which keeps the first new shapes of a cut level in
-    lexicographic order, stops at 5 vertices and depth 2.  The cap must
-    be a positive plain int; floats, strings and bools raise TypeError,
-    and so does a root that is not a Configuration.
+    and the size of the next level, 0 when there is none.  The cap cuts
+    by the rule stated at MAX_VERTICES, and the lane, never resumed after
+    a cut, never builds the cut level's rows.  The cap must be a positive
+    plain int; floats, strings and bools raise TypeError, and so does a
+    root that is not a Configuration.
 
     A root whose rows need more than 64 bits raises OverflowError, naming
     it, and an SPM row on the last level that can still fire raises
-    RuntimeError.  The module docstring derives both sweeps.  Results
-    agree with build() wherever both fit in memory, which the test suite
-    pins down on small cases, and with a plain visited-set search in the
-    tests.
+    RuntimeError.  The module docstring derives both sweeps.  Under any
+    cap, the shape count, depth, truncation flag and sinks are those of
+    build() with the same cap, and those of a plain visited-set search,
+    which the tests check on small roots.
     """
     _check_args(root, max_vertices)
     model = Model(model)

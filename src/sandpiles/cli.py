@@ -306,8 +306,7 @@ def _parser() -> argparse.ArgumentParser:
             type=_positive_int,
             default=MAX_VERTICES,
             help="stop exploring at this many shapes and exit 3 (default %(default)s); "
-            "graph and verify keep the first shapes of a cut level in lexicographic "
-            "order, count takes a level whole or not at all",
+            "the cut rule is the one documented at sandpiles.orbit.MAX_VERTICES",
         )
 
     def add_out(p: argparse.ArgumentParser) -> None:

@@ -25,8 +25,10 @@ from .structure import (
 )
 
 
-# The one exploration limit: build and sink_census stop at this many
-# shapes unless given another cap.
+# The one exploration limit, and its one cut rule for build and
+# sink_census: count the root, then take each level's new shapes whole or
+# not at all.  A level that would bring the count past the cap is
+# dropped, exploration stops there and the result is flagged truncated.
 MAX_VERTICES = 5_000_000
 
 
@@ -138,17 +140,13 @@ def build(root: Configuration, model: Model, max_vertices: int = MAX_VERTICES) -
     order, and each level is finished before the next is explored: its
     vertices are expanded, the shapes new to the graph are interned, and
     the level's sinks and edges are recorded.  Every interned vertex is
-    expanded exactly once, also when max_vertices cuts exploration short;
-    the graph is then flagged truncated and keeps what was found.  A
-    vertex is a sink when it has no move at all, judged before any cut,
-    and edges go only into interned shapes.
-
-    The cap keeps the first new shapes of a level, in lexicographic
-    order, up to max_vertices in all, so on (12) under SSPM a cap of 5
-    stops the graph at 5 vertices and depth 2 (sink_census, which takes
-    a level whole or not at all, stops at 3 vertices and depth 1).  It
-    must be a positive plain int; floats, strings and bools raise
-    TypeError, and so does a root that is not a Configuration.
+    expanded exactly once, also when max_vertices cuts exploration short
+    by the rule stated at MAX_VERTICES; the graph is then flagged
+    truncated and keeps the levels that fit.  A vertex is a sink when it
+    has no move at all, judged before any cut, and edges go only into
+    interned shapes.  The cap must be a positive plain int; floats,
+    strings and bools raise TypeError, and so does a root that is not a
+    Configuration.
     """
     _check_args(root, max_vertices)
     model = Model(model)
@@ -164,10 +162,9 @@ def build(root: Configuration, model: Model, max_vertices: int = MAX_VERTICES) -
     while frontier:
         level = [_fire(t, model)[1] for t in frontier]
         fresh = sorted(set(chain.from_iterable(level)).difference(intern))
-        room = max_vertices - len(intern)
-        if len(fresh) > room:
+        if len(intern) + len(fresh) > max_vertices:
             truncated = True
-            fresh = fresh[:room]
+            fresh = []
         intern.update(zip(fresh, range(len(intern), len(intern) + len(fresh))))
         depth += 1
         depths += [depth] * len(fresh)

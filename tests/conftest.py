@@ -106,8 +106,8 @@ def naive_build(cols: tuple[int, ...], model: str, max_vertices: int) -> tuple[
     (vertices in id order, edges, depths, sink ids, truncated).
 
     First the kept shapes are chosen, level by level: each level's new
-    shapes are taken in lexicographic order, only the first that still
-    fit under the vertex limit, and every kept shape is expanded.  Only
+    shapes are kept, in lexicographic order, only if they all fit under
+    the vertex limit, and every kept shape is expanded.  Only
     then are sinks and edges read off the kept shapes from the rule
     itself: a kept shape with no successor at all is a sink, wherever its
     successors went, and an edge joins two kept shapes one move apart.
@@ -119,9 +119,9 @@ def naive_build(cols: tuple[int, ...], model: str, max_vertices: int) -> tuple[
     while level:
         depth = depth_of[level[0]]
         new = sorted({d for c in level for d in naive_successors(c, model)} - set(depth_of))
-        while new and len(order) + len(new) > max_vertices:
+        if len(order) + len(new) > max_vertices:
             truncated = True
-            new.pop()
+            new = []
         for d in new:
             depth_of[d] = depth + 1
             order.append(d)

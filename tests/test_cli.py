@@ -19,6 +19,7 @@ from sandpiles import (
     enumerate_fixed_points,
     export,
     is_fixed_point,
+    sink_census,
 )
 from sandpiles.cli import (
     EXIT_LIMIT,
@@ -324,6 +325,17 @@ class TestMainWithFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: og((8)) exceeds max_vertices=3: stopped at 3 vertices, depth 1\n"
+
+    @pytest.mark.parametrize("command", ["graph", "verify"])
+    def test_limit_stops_where_the_census_does(self, command, tmp_path, capsys):
+        # the level after (12)'s first would pass the cap, so the build
+        # drops it whole, as the census of the same root and cap does
+        census = sink_census(C((12,)), Model.SSPM, 5)
+        assert (census.vertex_count, census.depth) == (3, 1)
+        rc = main([command, "--n", "12", "--max-vertices", "5", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_LIMIT
+        captured = capsys.readouterr()
+        assert captured.err == "error: og((12)) exceeds max_vertices=5: stopped at 3 vertices, depth 1\n"
 
     @pytest.mark.parametrize("command", ["graph", "count", "verify"])
     def test_default_vertex_cap_is_the_limits_default(self, command, tmp_path, monkeypatch):

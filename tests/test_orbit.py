@@ -161,7 +161,9 @@ def test_orbit_graph_takes_a_model_by_its_value():
 
 
 # sha256 over the concatenated exports of each family of builds, recorded
-# before export stopped copying tuples into lists and str() into names
+# before export stopped copying tuples into lists and str() into names; the
+# capped family's from the whole-level cut (46 vertices, depth 6), output
+# that naive_build accepts
 EXPORT_FAMILIES = {
     "sspm_columns": lambda: [build(C((n,)), Model.SSPM) for n in range(1, 15)],
     "spm_columns": lambda: [build(C((n,)), Model.SPM) for n in range(1, 13)],
@@ -177,8 +179,8 @@ EXPORT_DIGESTS = {
     ("spm_columns", "dot"): "6749ce845da87c2fce72742b4db96952aba3d6f8f784fc116bc2cb9b49d2bd12",
     ("wide_roots", "json"): "7aa6aa1e1adb9739d5785ae047cbf828fc934541f7b3d33dd3417a2c980b0e6b",
     ("wide_roots", "dot"): "a0fad829af3195a847529d105c7fc5fcd53cc3141d7e7ddc642c2dd56b7ef4b6",
-    ("capped", "json"): "6404444996a7d21d9a8c5b1f197aec59a2f1d6ff306f671fd5ee3cdfec6bbfdd",
-    ("capped", "dot"): "8825f9e256ee9b1ee53f18efa3ffaf15cf426d577d08a543c3b79888742b6baf",
+    ("capped", "json"): "cac17ca49211ab5c2a09197d413217d2366d0ea3b65478c054a967e2a7c4331d",
+    ("capped", "dot"): "0829b9d0beee27a77026dda568d61f6c41f80603bd6ca820887dde2adce338fa",
 }
 
 
@@ -1033,6 +1035,20 @@ def test_build_matches_naive_build_under_limits(cols, model, max_vertices):
 
 @settings(deadline=None)
 @given(*capped_builds)
+# levels 0-1 of (12) hold 3 shapes and level 2 three more, so a cap of 5
+# drops level 2 whole rather than keeping two of its shapes
+@example((12,), Model.SSPM, 5)
+def test_build_and_census_cut_at_the_same_level(cols, model, max_vertices):
+    g = capped_build(cols, model, max_vertices)
+    census = sink_census(C(cols), model, *([] if max_vertices is None else [max_vertices]))
+    assert g.vertex_count == census.vertex_count
+    assert max(g.depths) == census.depth
+    assert g.truncated == census.truncated
+    assert tuple(sorted(sinks(g))) == census.sinks
+
+
+@settings(deadline=None)
+@given(*capped_builds)
 def test_build_interns_only_shapes_the_constructor_accepts(cols, model, max_vertices):
     # build wraps its vertices with Configuration._trusted, skipping the
     # checks; each must be a tuple of plain ints that the checked
@@ -1045,6 +1061,8 @@ def test_build_interns_only_shapes_the_constructor_accepts(cols, model, max_vert
 
 @settings(deadline=None)
 @given(*capped_builds)
+# a first case that fails at once, before any draw needs shrinking
+@example((3,), Model.SSPM, None)
 def test_labels_and_json_export_are_read_off_the_graph(cols, model, max_vertices):
     # labels come from one encode of every height list, cut apart, and the
     # JSON export is written out by hand; both must say what the fields say

@@ -271,6 +271,18 @@ MUTANTS = (
         ("tests/test_orbit.py::test_build_matches_naive_build_under_limits",),
     ),
     Mutant(
+        "build-keeps-part-of-cut-level",
+        "build keeps the first new shapes of a level that would pass the cap, "
+        "in lexicographic order, where sink_census drops the level whole",
+        ORBIT,
+        "            fresh = []\n",
+        "            fresh = fresh[: max_vertices - len(intern)]\n",
+        (
+            "tests/test_orbit.py::test_build_and_census_cut_at_the_same_level",
+            "tests/test_orbit.py::test_build_matches_naive_build_under_limits",
+        ),
+    ),
+    Mutant(
         "build-keeps-cut-children",
         "build keeps the None that a child cut off by the cap reads in intern, "
         "so a truncated graph has edges into no vertex",
