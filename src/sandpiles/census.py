@@ -2,10 +2,11 @@
 
 ``sink_census`` walks the state space that ``orbit.build`` materialises,
 without storing edges, for sweeps where only the number of reachable
-shapes and the set of sinks matter.  One loop owns the limit and the
-sinks, and each model's lane is a generator that yields one vectorised
-level at a time, which is what makes exhaustive checks practical (up to
-a hundred grains under the rightward-only rule).
+shapes and the set of sinks matter.  ``orbit._explore``, the one loop of
+both explorers, owns the limit and the sinks, and each model's lane is a
+generator that yields one vectorised level at a time, which is what
+makes exhaustive checks practical (up to a hundred grains under the
+rightward-only rule).
 
 The SPM sweep needs no visited table and no dedupe: every shape is
 emitted once, by one canonical parent.  Write d_i = c_i - c_{i+1}.  A
@@ -105,7 +106,7 @@ from itertools import accumulate, count
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .core import Configuration, Model
-from .orbit import MAX_VERTICES, _check_args
+from .orbit import MAX_VERTICES, _check_args, _explore
 
 if TYPE_CHECKING:
     import numpy as np
@@ -315,14 +316,11 @@ def _sspm_levels(cols: tuple[int, ...]) -> Iterator[tuple[list, int]]:
 def sink_census(root: Configuration, model: Model, max_vertices: int = MAX_VERTICES) -> SinkCensus:
     """Count the reachable shapes and collect the sinks, without edges.
 
-    This loop alone owns the sweep's policy: the shape count, the depth,
-    the vertex limit, the truncation flag and the sinks.  The lane of the
-    model yields one pair per level: the heights of that level's sinks
-    and the size of the next level, 0 when there is none.  The cap cuts
-    by the rule stated at MAX_VERTICES, and the lane, never resumed after
-    a cut, never builds the cut level's rows.  The cap must be a positive
-    plain int; floats, strings and bools raise TypeError, and so does a
-    root that is not a Configuration.
+    The model's lane yields one level at a time to _explore, which cuts
+    by the rule stated at MAX_VERTICES; a cut level's rows are never
+    built.  The cap must be a positive plain int; floats, strings and
+    bools raise TypeError, and so does a root that is not a
+    Configuration.
 
     A root whose rows need more than 64 bits raises OverflowError, naming
     it, and an SPM row on the last level that can still fire raises
@@ -334,16 +332,6 @@ def sink_census(root: Configuration, model: Model, max_vertices: int = MAX_VERTI
     _check_args(root, max_vertices)
     model = Model(model)
     lane = _spm_levels if model is Model.SPM else _sspm_levels
-    vertex_count, depth, truncated = 1, 0, False
-    found: list[list[int]] = []
-    for level_sinks, size in lane(root.columns):
-        found += level_sinks
-        if not size:
-            break
-        if vertex_count + size > max_vertices:
-            truncated = True
-            break
-        vertex_count += size
-        depth += 1
+    vertex_count, depth, truncated, found = _explore(lane(root.columns), max_vertices)
     # Configuration trims the empty columns the lanes keep
     return SinkCensus(vertex_count, tuple(sorted(map(Configuration, found))), depth, truncated)

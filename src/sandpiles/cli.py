@@ -15,7 +15,7 @@ import os
 import random
 import sys
 import time
-from math import isqrt
+from math import inf, isqrt
 from pathlib import Path
 
 from .census import SinkCensus, sink_census
@@ -107,37 +107,38 @@ def count_table(
     return rows, ok, cut
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str, low: int, message: str, high: float = inf) -> int:
+    # ASCII digits after at most a minus sign, so a negative value meets
+    # its range check; int() alone would also take spaces, a plus sign,
+    # other scripts' digits and underscores, reading 1_0 as 10
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+    if not low <= value < high:
+        raise argparse.ArgumentTypeError(message)
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int(text, 1, "must be a positive integer")
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
+    return _int(text, 0, "must be a non-negative integer")
 
 
 def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
+    return _int(text, 0, "seed must fit in 64 unsigned bits", 2**64)
 
 
 def _shape(text: str) -> Configuration:
+    # the parts are read left to right, and the first bad one is reported
     try:
-        cols = tuple(int(part) for part in text.split(","))
+        cols = [_int(part, 1, "heights must be positive integers") for part in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected comma-separated heights, like 3,2,1"
-        ) from None
-    if any(h < 1 for h in cols):
-        raise argparse.ArgumentTypeError("heights must be positive integers")
-    return Configuration(cols)
+        raise argparse.ArgumentTypeError("expected comma-separated heights, like 3,2,1") from None
+    return Configuration(tuple(cols))
 
 
 def _emit(payload: str | bytes, out: str | None) -> None:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import NamedTuple
+from itertools import chain, islice
+from typing import Iterator, NamedTuple
 
 from .core import Configuration, Model, _fire, energy
 from .structure import (
@@ -25,10 +25,12 @@ from .structure import (
 )
 
 
-# The one exploration limit, and its one cut rule for build and
-# sink_census: count the root, then take each level's new shapes whole or
-# not at all.  A level that would bring the count past the cap is
-# dropped, exploration stops there and the result is flagged truncated.
+# The one exploration limit.  _explore, the one loop of build and
+# sink_census, reads a lane that yields a pair a level: the heights of the
+# level's sinks and the size of the next level, 0 when there is none.  It
+# counts the root, then takes each level's new shapes whole or not at all:
+# a level that would bring the count past the cap is dropped, the lane is
+# not resumed and the result is flagged truncated.
 MAX_VERTICES = 5_000_000
 
 
@@ -41,6 +43,21 @@ def _check_args(root: Configuration, max_vertices: int) -> None:
         raise TypeError(f"max_vertices must be int, got {max_vertices!r}")
     if max_vertices < 1:
         raise ValueError("max_vertices must be positive")
+
+
+def _explore(levels: Iterator[tuple], max_vertices: int) -> tuple[int, int, bool, list]:
+    vertex_count, depth, truncated = 1, 0, False
+    found: list = []
+    for level_sinks, size in levels:
+        found += level_sinks
+        if not size:
+            break
+        if vertex_count + size > max_vertices:
+            truncated = True
+            break
+        vertex_count += size
+        depth += 1
+    return vertex_count, depth, truncated, found
 
 
 @dataclass(frozen=True)
@@ -137,54 +154,48 @@ def build(root: Configuration, model: Model, max_vertices: int = MAX_VERTICES) -
     """Explore everything reachable from root and intern it as a graph.
 
     Exploration is breadth-first with the frontier kept in lexicographic
-    order, and each level is finished before the next is explored: its
-    vertices are expanded, the shapes new to the graph are interned, and
-    the level's sinks and edges are recorded.  Every interned vertex is
-    expanded exactly once, also when max_vertices cuts exploration short
-    by the rule stated at MAX_VERTICES; the graph is then flagged
-    truncated and keeps the levels that fit.  A vertex is a sink when it
-    has no move at all, judged before any cut, and edges go only into
-    interned shapes.  The cap must be a positive plain int; floats,
-    strings and bools raise TypeError, and so does a root that is not a
-    Configuration.
+    order.  Under max_vertices the graph keeps the levels that fit, by
+    the rule stated at MAX_VERTICES, and is flagged truncated; every
+    vertex it keeps was expanded.  A vertex is a sink when it has no move
+    at all, judged before any cut, and edges go only into kept vertices.
+    The cap must be a positive plain int; floats, strings and bools raise
+    TypeError, and so does a root that is not a Configuration.
     """
     _check_args(root, max_vertices)
     model = Model(model)
     # a shape's id is its place in intern, whose keys are the vertices, and
-    # in outs, since the shapes are expanded once each, in id order
+    # in outs, since the shapes are expanded once each, in id order; the
+    # lane interns a level before _explore judges it, so each child is
+    # looked up once
     intern: dict[tuple[int, ...], int] = {root.columns: 0}
     depths: list[int] = [0]
     outs: list[tuple[int, ...]] = []
-    sink_ids: list[int] = []
-    frontier: list[tuple[int, ...]] = [root.columns]
-    truncated = False
-    depth = 0
-    while frontier:
-        level = [_fire(t, model)[1] for t in frontier]
-        fresh = sorted(set(chain.from_iterable(level)).difference(intern))
-        if len(intern) + len(fresh) > max_vertices:
-            truncated = True
-            fresh = []
-        intern.update(zip(fresh, range(len(intern), len(intern) + len(fresh))))
-        depth += 1
-        depths += [depth] * len(fresh)
-        # each child is looked up once; a shape the cap cut off reads None
-        for kids in level:
-            if not kids:
-                sink_ids.append(len(outs))
-            ids = set(map(intern.get, kids))
-            if truncated:
-                ids.discard(None)
-            outs.append(tuple(sorted(ids)))
-        frontier = fresh
+
+    def lane() -> Iterator[tuple]:
+        frontier = [root.columns]
+        while frontier:
+            level = [_fire(t, model)[1] for t in frontier]
+            fresh = sorted(set(chain.from_iterable(level)).difference(intern))
+            intern.update(zip(fresh, range(len(intern), len(intern) + len(fresh))))
+            depths.extend([depths[-1] + 1] * len(fresh))
+            for kids in level:
+                outs.append(tuple(sorted(set(map(intern.__getitem__, kids)))))
+            yield (), len(fresh)
+            frontier = fresh
+
+    vertex_count, _, truncated, _ = _explore(lane(), max_vertices)
+    # read before the trim: every child was interned, so no child means no move
+    sink_ids = tuple([u for u, kids in enumerate(outs) if not kids])
+    if truncated:
+        outs = [tuple([v for v in kids if v < vertex_count]) for kids in outs]
     return OrbitGraph(
         model=model,
         # the root's columns passed the checks, and _fire's children are
         # trimmed positive ints (see Configuration._trusted)
-        vertices=tuple(map(Configuration._trusted, intern)),
+        vertices=tuple(map(Configuration._trusted, islice(intern, vertex_count))),
         out_lists=tuple(outs),
-        depths=tuple(depths),
-        sink_ids=tuple(sink_ids),
+        depths=tuple(depths[:vertex_count]),
+        sink_ids=sink_ids,
         truncated=truncated,
     )
 

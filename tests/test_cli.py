@@ -396,6 +396,12 @@ class TestUsageErrors:
             ["nonsense", "--n", "4"],
             ["count", "--n", "5", "--bfs-cutoff", "-1"],
             ["evolve", "--config", ""],
+            # int() would read these as 10, 7, 7, 7 and 10
+            ["evolve", "--config", "1_0"],
+            ["evolve", "--n", " 7"],
+            ["evolve", "--n", "+7"],
+            ["evolve", "--n", "\u0667"],
+            ["count", "--n", "5", "--bfs-cutoff", "1_0"],
         ],
     )
     def test_rejected_invocations(self, argv):

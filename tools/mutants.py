@@ -174,11 +174,14 @@ MUTANTS = (
     ),
     Mutant(
         "census-vertex-cap-at-equality",
-        "the census loop refuses a level that would bring the count exactly to max_vertices",
-        CENSUS,
+        "the exploration loop refuses a level that would bring the count exactly to max_vertices",
+        ORBIT,
         "vertex_count + size > max_vertices:",
         "vertex_count + size >= max_vertices:",
-        (CENSUS_TESTS + "test_matches_naive_census_under_limits[spm-1000]",),
+        (
+            CENSUS_TESTS + "test_matches_naive_census_under_limits[spm-1000]",
+            "tests/test_orbit.py::test_build_matches_naive_build_under_limits",
+        ),
     ),
     Mutant(
         "fire-right-before-left",
@@ -232,8 +235,8 @@ MUTANTS = (
         "build-drops-back-edges",
         "build keeps only the edges into vertices with a larger id",
         ORBIT,
-        "outs.append(tuple(sorted(ids)))",
-        "outs.append(tuple(v for v in sorted(ids) if v > len(outs)))",
+        "outs.append(tuple(sorted(set(map(intern.__getitem__, kids)))))",
+        "outs.append(tuple(v for v in sorted(set(map(intern.__getitem__, kids))) if v > len(outs)))",
         ("tests/test_orbit.py::test_build_and_census_match_naive_bfs_on_multi_column_roots",),
     ),
     Mutant(
@@ -249,8 +252,8 @@ MUTANTS = (
         "build-interns-padded-shapes",
         "build wraps each vertex with a trailing empty column",
         ORBIT,
-        "vertices=tuple(map(Configuration._trusted, intern)),",
-        "vertices=tuple(Configuration._trusted(t + (0,)) for t in intern),",
+        "vertices=tuple(map(Configuration._trusted, islice(intern, vertex_count))),",
+        "vertices=tuple(Configuration._trusted(t + (0,)) for t in islice(intern, vertex_count)),",
         ("tests/test_orbit.py::TestBuild::test_sspm_from_four_exact_graph",),
     ),
     Mutant(
@@ -258,25 +261,21 @@ MUTANTS = (
         "build judges a vertex a sink after a limit cut its children, so a "
         "vertex whose every child was cut off is reported as fixed",
         ORBIT,
-        "            if not kids:\n"
-        "                sink_ids.append(len(outs))\n"
-        "            ids = set(map(intern.get, kids))\n"
-        "            if truncated:\n"
-        "                ids.discard(None)\n",
-        "            ids = set(map(intern.get, kids))\n"
-        "            if truncated:\n"
-        "                ids.discard(None)\n"
-        "            if not ids:\n"
-        "                sink_ids.append(len(outs))\n",
+        "    sink_ids = tuple([u for u, kids in enumerate(outs) if not kids])\n"
+        "    if truncated:\n"
+        "        outs = [tuple([v for v in kids if v < vertex_count]) for kids in outs]\n",
+        "    if truncated:\n"
+        "        outs = [tuple([v for v in kids if v < vertex_count]) for kids in outs]\n"
+        "    sink_ids = tuple([u for u, kids in enumerate(outs) if not kids])\n",
         ("tests/test_orbit.py::test_build_matches_naive_build_under_limits",),
     ),
     Mutant(
         "build-keeps-part-of-cut-level",
-        "build keeps the first new shapes of a level that would pass the cap, "
-        "in lexicographic order, where sink_census drops the level whole",
+        "build keeps every shape the lane interned, the cut level's too, where "
+        "sink_census drops that level whole",
         ORBIT,
-        "            fresh = []\n",
-        "            fresh = fresh[: max_vertices - len(intern)]\n",
+        "islice(intern, vertex_count)",
+        "intern",
         (
             "tests/test_orbit.py::test_build_and_census_cut_at_the_same_level",
             "tests/test_orbit.py::test_build_matches_naive_build_under_limits",
@@ -284,19 +283,19 @@ MUTANTS = (
     ),
     Mutant(
         "build-keeps-cut-children",
-        "build keeps the None that a child cut off by the cap reads in intern, "
+        "build keeps the edges into the first shape of the level the cap cut off, "
         "so a truncated graph has edges into no vertex",
         ORBIT,
-        "            if truncated:\n                ids.discard(None)\n",
-        "",
+        "v < vertex_count",
+        "v <= vertex_count",
         ("tests/test_orbit.py::test_build_matches_naive_build_under_limits",),
     ),
     Mutant(
         "build-unsorted-out-lists",
         "build lists each vertex's children in set order, not by id",
         ORBIT,
-        "outs.append(tuple(sorted(ids)))",
-        "outs.append(tuple(ids))",
+        "outs.append(tuple(sorted(set(map(intern.__getitem__, kids)))))",
+        "outs.append(tuple(set(map(intern.__getitem__, kids))))",
         ("tests/test_orbit.py::test_export_bytes_match_the_recorded_digests[sspm_columns-json]",),
     ),
     Mutant(
@@ -557,6 +556,18 @@ MUTANTS = (
         '"#" if h >= level else "."',
         '"#" if h > level else "."',
         ("tests/test_cli.py::TestRenderAscii::test_single_grain",),
+    ),
+    Mutant(
+        "cli-reads-integers-with-int",
+        "the CLI reads its integers with int() alone, which takes spaces, a plus sign, "
+        "underscores and other scripts' digits",
+        CLI,
+        "    if not (digits.isascii() and digits.isdigit()):\n        raise ValueError(text)\n",
+        "",
+        tuple(
+            f"tests/test_cli.py::TestUsageErrors::test_rejected_invocations[argv{i}]"
+            for i in range(13, 18)
+        ),
     ),
     Mutant(
         "out-in-missing-directory-raises",
