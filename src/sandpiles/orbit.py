@@ -26,11 +26,12 @@ from .structure import (
 
 
 # The one exploration limit.  _explore, the one loop of build and
-# sink_census, reads a lane that yields a pair a level: the heights of the
-# level's sinks and the size of the next level, 0 when there is none.  It
-# counts the root, then takes each level's new shapes whole or not at all:
-# a level that would bring the count past the cap is dropped, the lane is
-# not resumed and the result is flagged truncated.
+# sink_census, reads a lane that yields a pair a level: the level's sinks
+# (heights from the census lanes, vertex ids from build's) and the size of
+# the next level, 0 when there is none.  It counts the root, then takes
+# each level's new shapes whole or not at all: a level that would bring
+# the count past the cap is dropped, the lane is not resumed and the
+# result is flagged truncated.
 MAX_VERTICES = 5_000_000
 
 
@@ -156,8 +157,8 @@ def build(root: Configuration, model: Model, max_vertices: int = MAX_VERTICES) -
     Exploration is breadth-first with the frontier kept in lexicographic
     order.  Under max_vertices the graph keeps the levels that fit, by
     the rule stated at MAX_VERTICES, and is flagged truncated; every
-    vertex it keeps was expanded.  A vertex is a sink when it has no move
-    at all, judged before any cut, and edges go only into kept vertices.
+    vertex it keeps was expanded.  A sink has no move at all, which the
+    lane reads before any cut; edges go only into kept vertices.
     The cap must be a positive plain int; floats, strings and bools raise
     TypeError, and so does a root that is not a Configuration.
     """
@@ -180,14 +181,14 @@ def build(root: Configuration, model: Model, max_vertices: int = MAX_VERTICES) -
             depths.extend([depths[-1] + 1] * len(fresh))
             for kids in level:
                 outs.append(tuple(sorted(set(map(intern.__getitem__, kids)))))
-            yield (), len(fresh)
+            yield [intern[t] for t, kids in zip(frontier, level) if not kids], len(fresh)
             frontier = fresh
 
-    vertex_count, _, truncated, _ = _explore(lane(), max_vertices)
-    # read before the trim: every child was interned, so no child means no move
-    sink_ids = tuple([u for u, kids in enumerate(outs) if not kids])
+    vertex_count, depth, truncated, sink_ids = _explore(lane(), max_vertices)
     if truncated:
-        outs = [tuple([v for v in kids if v < vertex_count]) for kids in outs]
+        # only the last kept level has children in the level that was cut
+        last = depths.index(depth)
+        outs[last:] = [tuple([v for v in kids if v < vertex_count]) for kids in outs[last:]]
     return OrbitGraph(
         model=model,
         # the root's columns passed the checks, and _fire's children are
@@ -195,7 +196,7 @@ def build(root: Configuration, model: Model, max_vertices: int = MAX_VERTICES) -
         vertices=tuple(map(Configuration._trusted, islice(intern, vertex_count))),
         out_lists=tuple(outs),
         depths=tuple(depths[:vertex_count]),
-        sink_ids=sink_ids,
+        sink_ids=tuple(sink_ids),
         truncated=truncated,
     )
 
@@ -363,10 +364,10 @@ def _theory_checks(g: OrbitGraph) -> list[CheckResult]:
     # the first in id order.
     member = spm_member if g.model is Model.SPM else sspm_member
     bound = 4 if g.model is Model.SSPM else 2
-    failed = [v for v in g.vertices if not member(v)]
-    at = g.vertices.index  # a witness's id, looked up once its check has failed
-    splitless = (f"{_named(g, at(v))} has no monotone split" for v in failed if not lr_splits(v))
-    wide = (f"{_named(g, at(v))} has top wider than {bound}" for v in failed if top(v).size > bound)
+    vs = g.vertices
+    failed = [i for i, v in enumerate(vs) if not member(v)]
+    splitless = (f"{_named(g, i)} has no monotone split" for i in failed if not lr_splits(vs[i]))
+    wide = (f"{_named(g, i)} has top wider than {bound}" for i in failed if top(vs[i]).size > bound)
     n = g.root.grains
     got = sorted(sinks(g))
     want = [spm_fixed_point(n)] if g.model is Model.SPM else list(enumerate_fixed_points(n))
@@ -375,9 +376,7 @@ def _theory_checks(g: OrbitGraph) -> list[CheckResult]:
     witnesses = ", ".join(filter(None, (missing, unexpected)))
     return [
         _judged("lr-decomposable", next(splitless, None)),
-        _judged(
-            "membership", f"{_named(g, at(failed[0]))} fails the predicate" if failed else None
-        ),
+        _judged("membership", f"{_named(g, failed[0])} fails the predicate" if failed else None),
         _judged("top-width", next(wide, None)),
         _judged(
             "sink-census",

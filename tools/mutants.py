@@ -257,16 +257,20 @@ MUTANTS = (
         ("tests/test_orbit.py::TestBuild::test_sspm_from_four_exact_graph",),
     ),
     Mutant(
-        "build-sinks-after-cut",
-        "build judges a vertex a sink after a limit cut its children, so a "
-        "vertex whose every child was cut off is reported as fixed",
+        "build-lane-yields-no-sinks",
+        "build's lane hands _explore no sinks, so a graph reports no fixed point",
         ORBIT,
-        "    sink_ids = tuple([u for u, kids in enumerate(outs) if not kids])\n"
-        "    if truncated:\n"
-        "        outs = [tuple([v for v in kids if v < vertex_count]) for kids in outs]\n",
-        "    if truncated:\n"
-        "        outs = [tuple([v for v in kids if v < vertex_count]) for kids in outs]\n"
-        "    sink_ids = tuple([u for u, kids in enumerate(outs) if not kids])\n",
+        "yield [intern[t] for t, kids in zip(frontier, level) if not kids], len(fresh)",
+        "yield (), len(fresh)",
+        ("tests/test_orbit.py::TestBuild::test_sspm_from_four_exact_graph",),
+    ),
+    Mutant(
+        "build-trims-from-second-of-last-level",
+        "build's cut trims the last kept level's out-lists from its second vertex "
+        "on, so its first vertex keeps an edge into the level that was cut",
+        ORBIT,
+        "last = depths.index(depth)",
+        "last = depths.index(depth) + 1",
         ("tests/test_orbit.py::test_build_matches_naive_build_under_limits",),
     ),
     Mutant(
@@ -358,16 +362,16 @@ MUTANTS = (
         "verify-last-membership-witness",
         "verify names the last vertex that fails membership, not the first",
         ORBIT,
-        'f"{_named(g, at(failed[0]))} fails the predicate"',
-        'f"{_named(g, at(failed[-1]))} fails the predicate"',
+        'f"{_named(g, failed[0])} fails the predicate"',
+        'f"{_named(g, failed[-1])} fails the predicate"',
         ("tests/test_orbit.py::TestVerify::test_valleys_fail_with_the_first_in_id_order",),
     ),
     Mutant(
         "verify-last-splitless-witness",
         "verify names the last vertex without a monotone split, not the first",
         ORBIT,
-        "for v in failed if not lr_splits(v))",
-        "for v in failed[::-1] if not lr_splits(v))",
+        "for i in failed if not lr_splits(vs[i]))",
+        "for i in failed[::-1] if not lr_splits(vs[i]))",
         ("tests/test_orbit.py::TestVerify::test_valleys_fail_with_the_first_in_id_order",),
     ),
     Mutant(
@@ -398,8 +402,8 @@ MUTANTS = (
         "verify-top-width-first-failed-only",
         "verify seeks a top-width witness only in the first vertex that fails membership",
         ORBIT,
-        "for v in failed if top(v).size > bound)",
-        "for v in failed[:1] if top(v).size > bound)",
+        "for i in failed if top(vs[i]).size > bound)",
+        "for i in failed[:1] if top(vs[i]).size > bound)",
         (
             "tests/test_orbit.py::TestVerify::"
             "test_top_width_witness_is_searched_past_the_first_failed_member",
